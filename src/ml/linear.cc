@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace ml {
 namespace {
 
 // Gathers the row-index view into a flat row-major matrix + target vector.
-// Linear models are row-major hot loops; one gather out of the columnar
-// storage beats materialising a row per access (or a Subset per fold).
+// The normal-equation accumulation is a row-major hot loop; one gather out of
+// the columnar storage beats materialising a row per access (or a Subset per
+// fold).
 void GatherMatrix(const Dataset& data, std::span<const size_t> rows,
                   std::vector<double>& x, std::vector<double>& y) {
   const size_t dim = data.num_features();
@@ -31,6 +33,67 @@ std::vector<size_t> AllRows(const Dataset& data) {
   std::vector<size_t> rows(data.num_rows());
   std::iota(rows.begin(), rows.end(), size_t{0});
   return rows;
+}
+
+// Stable softmax in place; a no-op on an empty vector (an untrained model).
+// PredictProba and the trainer share it, so both round alike.
+void Softmax(std::span<double> logits) {
+  if (logits.empty()) {
+    return;
+  }
+  const double max_logit = *std::max_element(logits.begin(), logits.end());
+  double total = 0.0;
+  for (double& logit : logits) {
+    logit = std::exp(logit - max_logit);
+    total += logit;
+  }
+  for (double& logit : logits) {
+    logit /= total;
+  }
+}
+
+// The logistic trainer's kernel works on blocks of 8 doubles held in four
+// two-lane registers (GCC/Clang vector extension: SSE2 on x86-64 at the
+// baseline ISA, with no -march). Lane-wise + and * are single IEEE
+// operations rounded exactly like their scalar forms, so a lane that sums
+// its terms in the scalar loop's order produces the scalar loop's bits.
+// Only the independent sums run side by side; no sum is reassociated.
+using Lanes = double __attribute__((vector_size(16)));
+constexpr size_t kBlock = 8;
+
+size_t RoundUpToBlock(size_t n) { return (n + kBlock - 1) / kBlock * kBlock; }
+
+Lanes Load(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void Store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+// out = init + vᵀ·m for a `count` × `width` row-major matrix m (width a
+// multiple of kBlock): out[k] = init + v[0]·m[0][k] + v[1]·m[1][k] + ...,
+// summed with the row ascending, 8 columns at a time.
+void VecMat(double init, const double* v, size_t count, const double* m, size_t width,
+            double* out) {
+  for (size_t k = 0; k < width; k += kBlock) {
+    Lanes a0 = {init, init};
+    Lanes a1 = a0;
+    Lanes a2 = a0;
+    Lanes a3 = a0;
+    for (size_t r = 0; r < count; ++r) {
+      const double* row = m + r * width + k;
+      const Lanes scale = {v[r], v[r]};
+      a0 += scale * Load(row);
+      a1 += scale * Load(row + 2);
+      a2 += scale * Load(row + 4);
+      a3 += scale * Load(row + 6);
+    }
+    Store(out + k, a0);
+    Store(out + k + 2, a1);
+    Store(out + k + 4, a2);
+    Store(out + k + 6, a3);
+  }
 }
 
 }  // namespace
@@ -152,32 +215,57 @@ void LogisticClassifier::TrainIndexed(const Dataset& data, std::span<const size_
   if (rows.empty()) {
     return;
   }
-  // Gather once: the gradient loop touches every row 500 times.
-  std::vector<double> x;
-  std::vector<double> y;
-  GatherMatrix(data, rows, x, y);
-  std::vector<std::vector<double>> gradients(num_classes_, std::vector<double>(dim, 0.0));
-  const double inv_n = 1.0 / static_cast<double>(rows.size());
-  for (int iter = 0; iter < options_.iterations; ++iter) {
-    for (auto& g : gradients) {
-      std::fill(g.begin(), g.end(), 0.0);
+  // Gather once, in the two layouts VecMat reads: the gradient loop touches
+  // every row 500 times. `xcol` is features × padded rows (logits pass),
+  // `xrow` is rows × padded features (gradient pass). Padding cells are 0.0,
+  // and what they produce is never read.
+  const size_t n = rows.size();
+  const size_t padded_rows = RoundUpToBlock(n);
+  const size_t padded_features = RoundUpToBlock(features);
+  std::vector<double> xcol(features * padded_rows, 0.0);
+  std::vector<double> xrow(n * padded_features, 0.0);
+  for (size_t j = 0; j < features; ++j) {
+    const auto column = data.Column(j);
+    for (size_t i = 0; i < n; ++i) {
+      xcol[j * padded_rows + i] = xrow[i * padded_features + j] = column[rows[i]];
     }
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const std::span<const double> row(x.data() + i * features, features);
-      const auto proba = PredictProba(row);
-      const auto label = static_cast<size_t>(y[i]);
+  }
+  std::vector<double> logits(num_classes_ * padded_rows);
+  std::vector<double> errors(num_classes_ * n);
+  std::vector<double> gradient(padded_features);
+  std::vector<double> proba(num_classes_);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (int iter = 0; iter < options_.iterations; ++iter) {
+    // logit[c][i] = w[c][0] + Σ_j w[c][j+1]·x[i][j], j ascending: the order
+    // PredictProba sums in.
+    for (size_t c = 0; c < num_classes_; ++c) {
+      const double* w = weights_[c].data();
+      VecMat(w[0], w + 1, features, xcol.data(), padded_rows, logits.data() + c * padded_rows);
+    }
+    for (size_t i = 0; i < n; ++i) {
       for (size_t c = 0; c < num_classes_; ++c) {
-        const double error = proba[c] - (c == label ? 1.0 : 0.0);
-        gradients[c][0] += error;
-        for (size_t j = 0; j < features; ++j) {
-          gradients[c][j + 1] += error * row[j];
-        }
+        proba[c] = logits[c * padded_rows + i];
+      }
+      Softmax(proba);
+      const auto label = static_cast<size_t>(data.targets()[rows[i]]);
+      for (size_t c = 0; c < num_classes_; ++c) {
+        errors[c * n + i] = proba[c] - (c == label ? 1.0 : 0.0);
       }
     }
+    // gradient[c][j] = 0.0 + Σ_i error[c][i]·x[i][j] and the intercept's
+    // Σ_i error[c][i], i ascending.
     for (size_t c = 0; c < num_classes_; ++c) {
+      const double* error = errors.data() + c * n;
+      VecMat(0.0, error, n, xrow.data(), padded_features, gradient.data());
+      double intercept = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        intercept += error[i];
+      }
+      auto& w = weights_[c];
       for (size_t j = 0; j < dim; ++j) {
-        const double l2 = j == 0 ? 0.0 : options_.l2 * weights_[c][j];
-        weights_[c][j] -= options_.learning_rate * (gradients[c][j] * inv_n + l2);
+        const double g = j == 0 ? intercept : gradient[j - 1];
+        const double l2 = j == 0 ? 0.0 : options_.l2 * w[j];
+        w[j] -= options_.learning_rate * (g * inv_n + l2);
       }
     }
   }
@@ -193,16 +281,7 @@ std::vector<double> LogisticClassifier::PredictProba(std::span<const double> x) 
     }
     logits[c] = z;
   }
-  // Stable softmax.
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& logit : logits) {
-    logit = std::exp(logit - max_logit);
-    total += logit;
-  }
-  for (double& logit : logits) {
-    logit /= total;
-  }
+  Softmax(logits);  // Untrained: stays empty, which Predict reads as class 0.
   return logits;
 }
 

@@ -41,7 +41,10 @@ struct LogisticOptions {
 };
 
 // Multinomial logistic regression (softmax); reduces to standard binary
-// logistic for two classes.
+// logistic for two classes. Training runs a register-blocked kernel whose
+// every sum keeps the plain per-row gradient loop's order, so its weights
+// match that loop (the oracle in tests/ml_test.cc) bit for bit (DESIGN.md,
+// "Training-phase data layout").
 class LogisticClassifier : public Classifier {
  public:
   explicit LogisticClassifier(LogisticOptions options = {}) : options_(options) {}

@@ -69,6 +69,9 @@ void NaiveBayesClassifier::TrainIndexed(const Dataset& data,
 
 std::vector<double> NaiveBayesClassifier::PredictProba(std::span<const double> x) const {
   const size_t classes = log_priors_.size();
+  if (classes == 0) {
+    return {};  // Untrained: Predict reads an empty distribution as class 0.
+  }
   std::vector<double> log_post(classes, 0.0);
   for (size_t c = 0; c < classes; ++c) {
     double lp = log_priors_[c];

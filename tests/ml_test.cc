@@ -2,7 +2,14 @@
 // feature selection, including property-style checks on synthetic data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/ml/dataset.h"
 #include "src/ml/eval.h"
@@ -210,6 +217,218 @@ TEST(Classifiers, SignalFeatureOutranksNoise) {
   tree.Train(data);
   importance = tree.FeatureImportance();
   EXPECT_NE(importance[0].first, "noise");
+}
+
+// Scalar per-row logistic trainer: the bit-exact oracle for
+// LogisticClassifier's register-blocked kernel. It is the plain loop the
+// kernel's summation-order contract is defined against, kept line for line.
+class ReferenceLogistic {
+ public:
+  void TrainIndexed(const Dataset& data, std::span<const size_t> rows) {
+    num_classes_ = data.num_classes();
+    const size_t features = data.num_features();
+    const size_t dim = features + 1;
+    weights_.assign(num_classes_, std::vector<double>(dim, 0.0));
+    if (rows.empty()) {
+      return;
+    }
+    // Gather once: the gradient loop touches every row 500 times.
+    std::vector<double> x;
+    std::vector<double> y;
+    GatherMatrix(data, rows, x, y);
+    std::vector<std::vector<double>> gradients(num_classes_, std::vector<double>(dim, 0.0));
+    const double inv_n = 1.0 / static_cast<double>(rows.size());
+    for (int iter = 0; iter < options_.iterations; ++iter) {
+      for (auto& g : gradients) {
+        std::fill(g.begin(), g.end(), 0.0);
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const std::span<const double> row(x.data() + i * features, features);
+        const auto proba = PredictProba(row);
+        const auto label = static_cast<size_t>(y[i]);
+        for (size_t c = 0; c < num_classes_; ++c) {
+          const double error = proba[c] - (c == label ? 1.0 : 0.0);
+          gradients[c][0] += error;
+          for (size_t j = 0; j < features; ++j) {
+            gradients[c][j + 1] += error * row[j];
+          }
+        }
+      }
+      for (size_t c = 0; c < num_classes_; ++c) {
+        for (size_t j = 0; j < dim; ++j) {
+          const double l2 = j == 0 ? 0.0 : options_.l2 * weights_[c][j];
+          weights_[c][j] -= options_.learning_rate * (gradients[c][j] * inv_n + l2);
+        }
+      }
+    }
+  }
+
+  std::vector<double> PredictProba(std::span<const double> x) const {
+    std::vector<double> logits(num_classes_, 0.0);
+    for (size_t c = 0; c < num_classes_; ++c) {
+      double z = weights_[c].empty() ? 0.0 : weights_[c][0];
+      const size_t n = std::min(x.size(), weights_[c].size() - 1);
+      for (size_t j = 0; j < n; ++j) {
+        z += weights_[c][j + 1] * x[j];
+      }
+      logits[c] = z;
+    }
+    // Stable softmax.
+    const double max_logit = *std::max_element(logits.begin(), logits.end());
+    double total = 0.0;
+    for (double& logit : logits) {
+      logit = std::exp(logit - max_logit);
+      total += logit;
+    }
+    for (double& logit : logits) {
+      logit /= total;
+    }
+    return logits;
+  }
+
+  const std::vector<std::vector<double>>& weights() const { return weights_; }
+
+ private:
+  static void GatherMatrix(const Dataset& data, std::span<const size_t> rows,
+                           std::vector<double>& x, std::vector<double>& y) {
+    const size_t dim = data.num_features();
+    x.resize(rows.size() * dim);
+    y.resize(rows.size());
+    for (size_t j = 0; j < dim; ++j) {
+      const auto column = data.Column(j);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        x[i * dim + j] = column[rows[i]];
+      }
+    }
+    const auto& targets = data.targets();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      y[i] = targets[rows[i]];
+    }
+  }
+
+  LogisticOptions options_;
+  std::vector<std::vector<double>> weights_;
+  size_t num_classes_ = 0;
+};
+
+// Weights as bit patterns, so EXPECT_EQ tells -0.0 from 0.0 and matches NaNs.
+std::vector<std::vector<uint64_t>> WeightBits(const std::vector<std::vector<double>>& weights) {
+  std::vector<std::vector<uint64_t>> bits;
+  for (const auto& class_weights : weights) {
+    bits.emplace_back();
+    for (const double w : class_weights) {
+      bits.back().push_back(std::bit_cast<uint64_t>(w));
+    }
+  }
+  return bits;
+}
+
+// `rows` rows of `features` features over `classes` classes: class-shifted
+// Gaussians, with exact zeros and a wide-range column mixed in.
+Dataset MakeLogisticData(size_t rows, size_t features, size_t classes, uint64_t seed) {
+  std::vector<std::string> feature_names;
+  for (size_t j = 0; j < features; ++j) {
+    feature_names.push_back("f" + std::to_string(j));
+  }
+  std::vector<std::string> class_names;
+  for (size_t c = 0; c < classes; ++c) {
+    class_names.push_back("c" + std::to_string(c));
+  }
+  Dataset data = Dataset::ForClassification(feature_names, class_names);
+  support::Rng rng(seed);
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t label = rng.NextBelow(classes);
+    std::vector<double> row(features);
+    for (size_t j = 0; j < features; ++j) {
+      if (rng.NextBelow(7) == 0) {
+        row[j] = 0.0;
+      } else if (j % 5 == 4) {
+        row[j] = rng.Normal(0.0, 1.0) * 1e3;
+      } else {
+        row[j] = rng.Normal(0.5 * static_cast<double>(label) * ((j % 3) - 1.0), 1.0);
+      }
+    }
+    data.AddRow(row, static_cast<double>(label));
+  }
+  return data;
+}
+
+TEST(LogisticKernel, BitIdenticalToScalarOracleOverShapes) {
+  // Row counts straddle the 8-row block (0, 1, 2, 7, 8, 9, 17) and reach a
+  // 10-fold CV training fold of the 164-app corpus (148); feature counts
+  // straddle the 8-feature block and reach the corpus width (100), and 0
+  // leaves only the intercepts.
+  for (const size_t rows : {0, 1, 2, 7, 8, 9, 17, 148}) {
+    for (const size_t features : {0, 1, 7, 8, 9, 100}) {
+      for (const size_t classes : {2, 3}) {
+        const Dataset data = MakeLogisticData(rows, features, classes,
+                                              rows * 1000 + features * 10 + classes);
+        std::vector<size_t> all(rows);
+        std::iota(all.begin(), all.end(), size_t{0});
+        LogisticClassifier kernel;
+        kernel.Train(data);
+        ReferenceLogistic oracle;
+        oracle.TrainIndexed(data, all);
+        ASSERT_EQ(kernel.weights().size(), classes);
+        EXPECT_EQ(WeightBits(kernel.weights()), WeightBits(oracle.weights()))
+            << rows << " rows, " << features << " features, " << classes << " classes";
+      }
+    }
+  }
+}
+
+TEST(LogisticKernel, TrainIndexedRepeatedAndUnsortedRows) {
+  // Bootstrap bags repeat rows and CV folds come shuffled: the kernel must
+  // gather exactly the rows it is given, in the order given.
+  const Dataset data = MakeLogisticData(40, 9, 3, 77);
+  const std::vector<std::vector<size_t>> views = {
+      {5, 3, 3, 9, 0, 5, 39, 12, 12, 12, 1},
+      {39, 38, 37, 36, 35, 34, 33, 32, 31},
+      {0, 1, 3, 3, 5, 5, 9, 12, 12, 12, 39},
+      {7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7},
+  };
+  for (const auto& rows : views) {
+    LogisticClassifier kernel;
+    kernel.TrainIndexed(data, rows);
+    ReferenceLogistic oracle;
+    oracle.TrainIndexed(data, rows);
+    EXPECT_EQ(WeightBits(kernel.weights()), WeightBits(oracle.weights()))
+        << rows.size() << " indexed rows";
+  }
+}
+
+TEST(LogisticKernel, PinnedWeightsDigest) {
+  // FNV-1a over the weights' bit patterns, class-major, recorded from the
+  // scalar trainer before the kernel replaced it. Pins the kernel and the
+  // oracle above together: they cannot drift in step unnoticed.
+  const Dataset data = MakeBlobs(40, 2.0, 11);
+  LogisticClassifier model;
+  model.Train(data);
+  uint64_t digest = 1469598103934665603ull;
+  for (const auto& class_weights : model.weights()) {
+    for (const double w : class_weights) {
+      const auto bits = std::bit_cast<uint64_t>(w);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (bits >> (8 * byte)) & 0xff;
+        digest *= 1099511628211ull;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x44975df9c405f941ull);
+}
+
+TEST(Classifiers, UntrainedPredictsEmptyDistribution) {
+  // Regression: PredictProba on an untrained model took max_element of an
+  // empty vector. It now returns an empty distribution; Predict reads that
+  // as class 0.
+  const std::vector<double> x = {1.0, 2.0, 3.0};
+  const LogisticClassifier logistic;
+  const NaiveBayesClassifier bayes;
+  for (const Classifier* model :
+       {static_cast<const Classifier*>(&logistic), static_cast<const Classifier*>(&bayes)}) {
+    EXPECT_TRUE(model->PredictProba(x).empty()) << model->Name();
+    EXPECT_EQ(model->Predict(x), 0) << model->Name();
+  }
 }
 
 TEST(Tree, RespectsDepthLimit) {
