@@ -727,15 +727,15 @@ bool PrintIncremental(bool smoke) {
   const double noop_seconds = Seconds(t_noop0, std::chrono::steady_clock::now());
 
   // Bit-identity: the warm result must equal from-scratch extraction of the
-  // edited tree — both through fresh granular caches and through the
-  // module-level path with the granular layer disabled.
+  // edited tree — both through fresh caches and through a scratch testbed
+  // with the reuse tiers bypassed (cache_functions = false).
   const clair::Testbed scratch(ecosystem, options);
-  clair::TestbedOptions module_options = options;
-  module_options.cache_functions = false;
-  const clair::Testbed module_path(ecosystem, module_options);
+  clair::TestbedOptions cache_off_options = options;
+  cache_off_options.cache_functions = false;
+  const clair::Testbed cache_off(ecosystem, cache_off_options);
   const bool identical =
       warm_features.values() == scratch.ExtractFeatures(edited).values() &&
-      warm_features.values() == module_path.ExtractFeatures(edited).values() &&
+      warm_features.values() == cache_off.ExtractFeatures(edited).values() &&
       replay_features.values() == warm_features.values();
 
   const double speedup = cold_seconds / warm_seconds;

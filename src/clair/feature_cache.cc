@@ -147,18 +147,6 @@ FeatureCacheStats FeatureCache::stats() const {
   return stats;
 }
 
-void FeatureCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  order_.clear();
-  bytes_ = 0;
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  integrity_rejects_.store(0, std::memory_order_relaxed);
-  coalesced_fills_.store(0, std::memory_order_relaxed);
-}
-
 bool FeatureCache::CorruptEntryForTest(uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
@@ -236,17 +224,6 @@ FeatureCacheStats RowCache::stats() const {
     stats.bytes = bytes_;
   }
   return stats;
-}
-
-void RowCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  order_.clear();
-  bytes_ = 0;
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  integrity_rejects_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace clair

@@ -100,8 +100,6 @@ class FeatureCache {
     coalesced_fills_.fetch_add(count, std::memory_order_relaxed);
   }
 
-  void Clear();
-
   // Test scaffolding: silently mutates the stored row (leaving its checksum
   // stale) so tests can prove the integrity guard fires. Returns false when
   // the key is absent.
@@ -146,8 +144,6 @@ class RowCache {
   void Insert(uint64_t key, const std::vector<double>& row);
 
   FeatureCacheStats stats() const;
-
-  void Clear();
 
  private:
   struct Entry {

@@ -253,17 +253,57 @@ std::shared_ptr<const ParsedFile> AstCache::Get(const metrics::SourceFile& file)
   return shared;
 }
 
-size_t AstCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+namespace {
+
+// The counters of a symexec payload row, in slot order.
+constexpr uint64_t symx::SymExecResult::*kSymexCounters[] = {
+    &symx::SymExecResult::paths_explored,   &symx::SymExecResult::paths_completed,
+    &symx::SymExecResult::solver_queries,   &symx::SymExecResult::range_pruned,
+    &symx::SymExecResult::sat_conflicts,    &symx::SymExecResult::model_reuse_hits,
+    &symx::SymExecResult::simplifier_folds};
+constexpr size_t kSymexHeader = std::size(kSymexCounters) + 1;  // Counters + vuln count.
+
+}  // namespace
+
+std::vector<double> EncodeSymexRow(const symx::SymExecResult& result) {
+  std::vector<double> row;
+  for (const auto counter : kSymexCounters) {
+    row.push_back(static_cast<double>(result.*counter));
+  }
+  row.push_back(static_cast<double>(result.vulns.size()));
+  for (const auto& vuln : result.vulns) {
+    row.push_back(static_cast<double>(vuln.kind));
+    row.push_back(vuln.exploit_fraction);
+  }
+  return row;
 }
 
-void AstCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  order_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+bool DecodeSymexRow(const std::vector<double>& row, symx::SymExecResult* result) {
+  // The stored count is checked against the size, never used as a bound.
+  if (row.size() < kSymexHeader || (row.size() - kSymexHeader) % 2 != 0 ||
+      row[kSymexHeader - 1] != static_cast<double>((row.size() - kSymexHeader) / 2)) {
+    return false;
+  }
+  symx::SymExecResult decoded;
+  for (size_t slot = 0; slot + 1 < kSymexHeader; ++slot) {
+    if (!(row[slot] >= 0.0 && row[slot] < 0x1p64)) {
+      return false;  // Converting it to uint64_t would be undefined.
+    }
+    decoded.*kSymexCounters[slot] = static_cast<uint64_t>(row[slot]);
+  }
+  for (size_t slot = kSymexHeader; slot < row.size(); slot += 2) {
+    const double kind = row[slot];
+    if (kind != static_cast<double>(symx::VulnKind::kOutOfBounds) &&
+        kind != static_cast<double>(symx::VulnKind::kDivByZero)) {
+      return false;
+    }
+    symx::VulnSite vuln;
+    vuln.kind = static_cast<symx::VulnKind>(kind);
+    vuln.exploit_fraction = row[slot + 1];
+    decoded.vulns.push_back(std::move(vuln));
+  }
+  *result = std::move(decoded);
+  return true;
 }
 
 }  // namespace clair

@@ -33,6 +33,7 @@
 #include "src/lang/ast.h"
 #include "src/lang/ir.h"
 #include "src/metrics/extract.h"
+#include "src/symexec/executor.h"
 
 namespace clair {
 
@@ -123,9 +124,6 @@ class AstCache {
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t entries() const;
-
-  void Clear();
 
  private:
   size_t max_entries_;
@@ -135,6 +133,19 @@ class AstCache {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
 };
+
+// The RowCache layout of one symexec entry's payload: the seven counters
+// symx::SymexFeaturesFromResults folds (paths explored and completed, solver
+// queries, range-pruned checks, SAT conflicts, model-reuse hits, simplifier
+// folds), the vuln count n, then n (kind, exploit fraction) pairs.
+std::vector<double> EncodeSymexRow(const symx::SymExecResult& result);
+
+// Inverse of EncodeSymexRow over the fields the fold reads. Accepts `row`
+// only when its size is exactly 8 + 2n for its stored count n, every counter
+// fits a uint64_t and every kind is a valid VulnKind; returns false (and
+// leaves `result` alone) otherwise, so a damaged row is a miss and gets
+// recomputed.
+bool DecodeSymexRow(const std::vector<double>& row, symx::SymExecResult* result);
 
 // Normalized token hash of a whole MiniC text (0 when it does not lex).
 // Exposed for tests and for call sites that key on file contents.

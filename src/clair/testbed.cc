@@ -6,8 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -44,34 +42,27 @@ uint64_t MixU64(uint64_t hash, uint64_t value) {
 }
 
 // §5.3's dynamic-trace extension: execute the module's call-graph roots on
-// random inputs and summarise runtime behaviour. `deadline` (not owned) is
-// threaded into the interpreter, which halts a trial gracefully on expiry;
-// the expiry is then re-raised here so the stage wrapper records a timeout
-// instead of caching a partially-sampled row.
-metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
-                                       uint64_t seed, support::Deadline* deadline) {
-  metrics::FeatureVector fv;
-  const metrics::CallGraph graph(module);
-  std::vector<std::string> entries;
-  if (module.FindFunction("main") != nullptr) {
-    entries.push_back("main");
-  } else {
-    entries = graph.Roots();
-    if (entries.size() > 8) {
-      entries.resize(8);  // Bound per-file cost on large modules.
-    }
-  }
+// random inputs and tally runtime behaviour into a payload row: trials run,
+// trials that faulted, trials that aborted, interpreter steps, branches, sink
+// events, then the stage-deadline steps the trials consumed. `deadline` (not
+// owned) is threaded into the interpreter, which halts a trial gracefully on
+// expiry; the expiry is then re-raised here so the stage wrapper records a
+// timeout instead of storing a partially-sampled row.
+constexpr size_t kDynamicRowSize = 7;
+
+std::vector<double> DynamicRow(const lang::IrModule& module, int trials, uint64_t seed,
+                               support::Deadline* deadline) {
+  const uint64_t before = deadline->steps_used();
+  // The entries symbolic execution would explore, capped at 8 to bound
+  // per-file cost on large modules.
+  symx::SymExecOptions entry_policy;
+  entry_policy.max_entries = 8;
   support::Rng rng(seed);
-  long long runs = 0;
-  long long faults = 0;
-  long long aborted = 0;
-  long long steps = 0;
-  long long branches = 0;
-  long long sink_events = 0;
   lang::InterpOptions interp_options;
   interp_options.max_steps = 1 << 14;
   interp_options.deadline = deadline;
-  for (const auto& entry : entries) {
+  std::vector<double> row(kDynamicRowSize, 0.0);  // Integer tallies: exact.
+  for (const auto& entry : symx::SymexEntries(module, entry_policy)) {
     for (int t = 0; t < trials; ++t) {
       std::vector<int64_t> inputs;
       for (int i = 0; i < 16; ++i) {
@@ -81,31 +72,75 @@ metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
       }
       const auto trace =
           lang::Execute(module, entry, {0, 1, 2, 3}, std::move(inputs), interp_options);
-      if (deadline != nullptr) {
-        deadline->ThrowIfExpired("dynamic");
-      }
-      ++runs;
-      steps += static_cast<long long>(trace.steps);
-      branches += static_cast<long long>(trace.branches);
-      sink_events += static_cast<long long>(trace.sink_values.size());
-      if (trace.outcome == lang::ExecOutcome::kOutOfBounds ||
-          trace.outcome == lang::ExecOutcome::kDivisionByZero) {
-        ++faults;
-      } else if (trace.outcome == lang::ExecOutcome::kAborted) {
-        ++aborted;
-      }
+      deadline->ThrowIfExpired("dynamic");
+      row[0] += 1.0;
+      row[1] += trace.outcome == lang::ExecOutcome::kOutOfBounds ||
+                trace.outcome == lang::ExecOutcome::kDivisionByZero;
+      row[2] += trace.outcome == lang::ExecOutcome::kAborted;
+      row[3] += static_cast<double>(trace.steps);
+      row[4] += static_cast<double>(trace.branches);
+      row[5] += static_cast<double>(trace.sink_values.size());
     }
   }
-  if (runs > 0) {
-    fv.Set("dynamic.runs", static_cast<double>(runs));
-    fv.Set("dynamic.fault_rate", static_cast<double>(faults) / runs);
-    fv.Set("dynamic.abort_rate", static_cast<double>(aborted) / runs);
-    fv.Set("dynamic.mean_steps", static_cast<double>(steps) / runs);
-    fv.Set("dynamic.branch_density",
-           steps > 0 ? static_cast<double>(branches) / static_cast<double>(steps) : 0.0);
-    fv.Set("dynamic.sink_events_per_run", static_cast<double>(sink_events) / runs);
+  row[6] = static_cast<double>(deadline->steps_used() - before);
+  return row;
+}
+
+metrics::FeatureVector DynamicFeaturesFromRow(const std::vector<double>& row) {
+  metrics::FeatureVector fv;
+  const double runs = row[0];
+  const double steps = row[3];
+  if (runs > 0.0) {
+    fv.Set("dynamic.runs", runs);
+    fv.Set("dynamic.fault_rate", row[1] / runs);
+    fv.Set("dynamic.abort_rate", row[2] / runs);
+    fv.Set("dynamic.mean_steps", steps / runs);
+    fv.Set("dynamic.branch_density", steps > 0.0 ? row[4] / steps : 0.0);
+    fv.Set("dynamic.sink_events_per_run", row[5] / runs);
   }
   return fv;
+}
+
+// Accepts a stored payload row of `size` slots whose last slot holds the
+// stage-deadline steps computing it consumed, and replays them, so a step
+// budget expires at the same point whether the row is recomputed or reused.
+bool AcceptAndReplay(const std::vector<double>& row, size_t size,
+                     support::Deadline& deadline, const char* stage) {
+  if (row.size() != size) {
+    return false;
+  }
+  deadline.TickOrThrow(stage, static_cast<uint64_t>(row.back()));
+  return true;
+}
+
+// The reuse tiers' one lookup-or-compute step. With a key, a stored row that
+// `accept` takes is served; anything else is computed, counted and stored.
+// Without a key (reuse off, or a unit with no fingerprint) the row is
+// computed and nothing is stored.
+template <typename Cache, typename Compute, typename Accept>
+auto ReuseOrCompute(Cache& cache, std::optional<uint64_t> key,
+                    std::atomic<uint64_t>& computed, std::atomic<uint64_t>& reused,
+                    Compute&& compute, Accept&& accept) {
+  decltype(compute()) row;
+  if (key.has_value() && cache.Lookup(*key, &row) && accept(row)) {
+    reused.fetch_add(1, std::memory_order_relaxed);
+    return row;
+  }
+  row = compute();
+  computed.fetch_add(1, std::memory_order_relaxed);
+  if (key.has_value()) {
+    cache.Insert(*key, row);
+  }
+  return row;
+}
+
+// Moves a successful parse or lowering into a shared immutable artifact.
+template <typename T>
+support::Result<std::shared_ptr<const T>> Share(support::Result<T> result) {
+  if (!result.ok()) {
+    return std::move(result).error();
+  }
+  return std::make_shared<const T>(std::move(result).value());
 }
 
 }  // namespace
@@ -114,15 +149,6 @@ Testbed::Testbed(const corpus::EcosystemGenerator& ecosystem, TestbedOptions opt
     : ecosystem_(ecosystem),
       options_(options),
       fn_cache_(1 << 18, options.function_cache_max_bytes) {}
-
-bool Testbed::GranularActive() const {
-  // Any armed fault site disables the granular tier: the module-level path
-  // is the one whose injection semantics the robustness suite pins, and a
-  // faulted run must never serve rows cached by a clean run (or vice versa
-  // across attempt salts at sub-stage granularity).
-  return options_.cache_functions &&
-         support::FaultInjector::Global().Fingerprint() == 0;
-}
 
 // Retry-and-degrade wrapper around one deep-analysis stage. Failure modes
 // are normalised here: an Error result, an InjectedFault, a watchdog
@@ -229,402 +255,93 @@ uint64_t Testbed::OptionsFingerprint() const {
   return Fnv1a64(encoding);
 }
 
-// Per-file shallow battery with content-addressed reuse. Replicates
-// metrics::ExtractAppFeatures op-for-op: MergeSum in file order over vectors
-// that are bit-identical whether cached or freshly computed (FeatureVector
-// round-trips doubles exactly through the cache), then the same app-level
-// epilogue.
-metrics::FeatureVector Testbed::GranularAppFeatures(
-    const std::vector<metrics::SourceFile>& files) const {
-  metrics::FeatureVector app;
-  for (const auto& file : files) {
-    uint64_t key = Fnv1a64(file.path, kFileRowSalt);
-    key = MixU64(key, static_cast<uint64_t>(file.language));
-    key = Fnv1a64(file.text, key);
-    metrics::FeatureVector row;
-    if (file_cache_.Lookup(key, &row)) {
-      file_rows_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      row = metrics::ExtractFileFeatures(file);
-      file_cache_.Insert(key, row);
-      file_rows_computed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    app.MergeSum(row);
-  }
-  app.Set("app.files", static_cast<double>(files.size()));
-  const double code = app.Get("loc.code");
-  const double comment = app.Get("loc.comment");
-  if (code > 0.0) {
-    app.Set("loc.comment_ratio", comment / code);
-  }
-  return app;
-}
-
-// Per-function dataflow battery with payload reuse. The loop mirrors
-// dataflow::DataflowFeatures exactly — same tick weights, same accumulation
-// order, same epilogue — with each function's contribution either computed
-// (and cached under its body-token hash) or replayed from the cache.
-metrics::FeatureVector Testbed::GranularDataflow(const lang::IrModule& module,
-                                                 const FileFunctionIndex& index,
-                                                 support::Deadline* deadline) const {
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  metrics::FeatureVector fv;
-  double mean_reaching_sum = 0.0;
-  int max_live = 0;
-  int max_dom_depth = 0;
-  dataflow::TaintSummary total;
-  for (const auto& fn : module.functions) {
-    deadline->TickOrThrow("dataflow", fn.blocks.size() + 1);
-    uint64_t key = 0;
-    bool keyed = false;
-    if (const auto it = hash_by_name.find(fn.name); it != hash_by_name.end()) {
-      key = MixU64(MixU64(kDataflowRowSalt, it->second), options_fp);
-      keyed = true;
-    }
-    std::vector<double> row;
-    if (keyed && fn_cache_.Lookup(key, &row) && row.size() == 9) {
-      fn_dataflow_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const dataflow::CfgView cfg(fn);
-      const dataflow::ReachingDefinitions rd(fn, &cfg);
-      const dataflow::Liveness lv(fn, &cfg);
-      const dataflow::Dominators dom(fn, &cfg);
-      const dataflow::TaintSummary ts = dataflow::AnalyzeTaint(fn, &cfg);
-      row = {rd.MeanReachingPerUse(),
-             static_cast<double>(lv.MaxLiveAtEntry()),
-             static_cast<double>(dom.TreeDepth()),
-             static_cast<double>(ts.tainted_instructions),
-             static_cast<double>(ts.tainted_branches),
-             static_cast<double>(ts.tainted_array_indices),
-             static_cast<double>(ts.tainted_sinks),
-             static_cast<double>(ts.tainted_call_args),
-             static_cast<double>(ts.input_sites)};
-      fn_dataflow_computed_.fetch_add(1, std::memory_order_relaxed);
-      if (keyed) {
-        fn_cache_.Insert(key, row);
+// Per-entry symbolic exploration. With reuse, an entry's key digests
+// everything its result depends on: the entry's call-graph closure (each
+// reachable function's body-token hash), the file preamble (global
+// initializers), the entry's RNG seed, and the options fingerprint. Stored
+// entries are decoded and the rest fan out on the pool; the fold runs in
+// entry order either way.
+metrics::FeatureVector Testbed::SymexecFeatures(
+    const lang::IrModule& module, const ParsedFile* parsed,
+    const std::map<std::string, uint64_t>& fn_hashes, uint64_t options_fp,
+    int attempt) const {
+  symx::SymExecOptions options = options_.symexec;
+  options.watchdog_steps = options_.stage_step_budget;
+  // Pool workers do not inherit this thread's ScopedAttempt salt, so the
+  // retry attempt rides in the options (see SymExecOptions::fault_salt).
+  options.fault_salt = static_cast<uint32_t>(attempt);
+  const std::vector<std::string> entries = symx::SymexEntries(module, options);
+  std::vector<std::optional<uint64_t>> keys(entries.size());
+  if (parsed != nullptr) {
+    const metrics::CallGraph graph(module);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      uint64_t key = MixU64(kSymexecRowSalt, options_fp);
+      key = MixU64(key, parsed->index.preamble_hash);
+      key = Fnv1a64(entries[i], key);
+      key = MixU64(key, support::Rng::TaskSeed(options.rng_seed, static_cast<uint64_t>(i)));
+      for (const auto& name : graph.ReachableFrom(entries[i])) {  // Sorted.
+        const auto it = fn_hashes.find(name);
+        key = MixU64(Fnv1a64(name, key),
+                     it != fn_hashes.end() ? it->second : 0x9e3779b97f4a7c15ULL);
       }
+      keys[i] = key;
     }
-    mean_reaching_sum += row[0];
-    max_live = std::max(max_live, static_cast<int>(row[1]));
-    max_dom_depth = std::max(max_dom_depth, static_cast<int>(row[2]));
-    total.tainted_instructions += static_cast<long long>(row[3]);
-    total.tainted_branches += static_cast<long long>(row[4]);
-    total.tainted_array_indices += static_cast<long long>(row[5]);
-    total.tainted_sinks += static_cast<long long>(row[6]);
-    total.tainted_call_args += static_cast<long long>(row[7]);
-    total.input_sites += static_cast<long long>(row[8]);
   }
-  const double fn_count =
-      module.functions.empty() ? 1.0 : static_cast<double>(module.functions.size());
-  fv.Set("dataflow.mean_reaching_defs", mean_reaching_sum / fn_count);
-  fv.Set("dataflow.max_live_regs", static_cast<double>(max_live));
-  fv.Set("dataflow.max_dom_depth", static_cast<double>(max_dom_depth));
-  fv.Set("dataflow.tainted_instructions", static_cast<double>(total.tainted_instructions));
-  fv.Set("dataflow.tainted_branches", static_cast<double>(total.tainted_branches));
-  fv.Set("dataflow.tainted_array_indices",
-         static_cast<double>(total.tainted_array_indices));
-  fv.Set("dataflow.tainted_sinks", static_cast<double>(total.tainted_sinks));
-  fv.Set("dataflow.tainted_call_args", static_cast<double>(total.tainted_call_args));
-  fv.Set("dataflow.input_sites", static_cast<double>(total.input_sites));
-  return fv;
-}
-
-// Per-function interval analysis with payload reuse. The watchdog is the
-// subtle part: AnalyzeIntervals ticks `deadline` once per worklist visit, so
-// a cached function replays its recorded step delta (payload slot 6) before
-// folding — cumulative budget consumption, and therefore the logical point
-// where a tight budget expires, is identical warm and cold.
-metrics::FeatureVector Testbed::GranularIntervals(const lang::IrModule& module,
-                                                  const FileFunctionIndex& index,
-                                                  support::Deadline* deadline) const {
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  metrics::FeatureVector fv;
-  long long accesses = 0;
-  long long proven = 0;
-  long long divisions = 0;
-  long long proven_div = 0;
-  long long possible_oob = 0;
-  long long possible_div0 = 0;
-  for (const auto& fn : module.functions) {
-    uint64_t key = 0;
-    bool keyed = false;
-    if (const auto it = hash_by_name.find(fn.name); it != hash_by_name.end()) {
-      key = MixU64(MixU64(kIntervalsRowSalt, it->second), options_fp);
-      keyed = true;
-    }
-    std::vector<double> row;
-    if (keyed && fn_cache_.Lookup(key, &row) && row.size() == 7) {
-      deadline->TickOrThrow("intervals", static_cast<uint64_t>(row[6]));
-      fn_intervals_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const uint64_t before = deadline->steps_used();
-      dataflow::IntervalOptions interval_options;
-      interval_options.deadline = deadline;
-      const dataflow::IntervalReport report =
-          dataflow::AnalyzeIntervals(fn, interval_options);
-      long long fn_oob = 0;
-      long long fn_div0 = 0;
-      for (const auto& finding : report.findings) {
-        if (finding.kind == dataflow::AiFinding::Kind::kPossibleOutOfBounds) {
-          ++fn_oob;
-        } else {
-          ++fn_div0;
-        }
-      }
-      row = {static_cast<double>(report.array_accesses),
-             static_cast<double>(report.proven_in_bounds),
-             static_cast<double>(report.divisions),
-             static_cast<double>(report.proven_nonzero_divisor),
-             static_cast<double>(fn_oob),
-             static_cast<double>(fn_div0),
-             static_cast<double>(deadline->steps_used() - before)};
-      fn_intervals_computed_.fetch_add(1, std::memory_order_relaxed);
-      if (keyed) {
-        fn_cache_.Insert(key, row);
-      }
-    }
-    accesses += static_cast<long long>(row[0]);
-    proven += static_cast<long long>(row[1]);
-    divisions += static_cast<long long>(row[2]);
-    proven_div += static_cast<long long>(row[3]);
-    possible_oob += static_cast<long long>(row[4]);
-    possible_div0 += static_cast<long long>(row[5]);
-  }
-  fv.Set("ai.array_accesses", static_cast<double>(accesses));
-  fv.Set("ai.proven_in_bounds", static_cast<double>(proven));
-  fv.Set("ai.possible_oob", static_cast<double>(possible_oob));
-  fv.Set("ai.divisions", static_cast<double>(divisions));
-  fv.Set("ai.proven_nonzero_divisor", static_cast<double>(proven_div));
-  fv.Set("ai.possible_div0", static_cast<double>(possible_div0));
-  if (accesses > 0) {
-    fv.Set("ai.unproven_access_ratio",
-           static_cast<double>(possible_oob) / static_cast<double>(accesses));
-  }
-  return fv;
-}
-
-// Per-entry symbolic exploration with payload reuse. An entry's result is a
-// function of everything reachable from it, so the key is a digest of the
-// entry's call-graph closure (each reachable function's body-token hash),
-// the file preamble (global initializers), the entry's derived RNG seed, and
-// the options fingerprint. Misses fan out on the pool exactly like
-// symx::SymexFeatures; the fold runs in entry-index order either way.
-metrics::FeatureVector Testbed::GranularSymexec(const lang::IrModule& module,
-                                                const FileFunctionIndex& index,
-                                                int attempt) const {
-  metrics::FeatureVector fv;
-  std::vector<std::string> entries;
-  const metrics::CallGraph graph(module);
-  if (module.FindFunction("main") != nullptr) {
-    entries.push_back("main");
-  } else {
-    entries = graph.Roots();
-  }
-  const auto& sx = options_.symexec;
-  const size_t max_entries =
-      sx.max_entries > 0 ? static_cast<size_t>(sx.max_entries) : entries.size();
-  if (entries.size() > max_entries) {
-    entries.resize(max_entries);
-  }
-  symx::SymExecOptions base = sx;
-  base.watchdog_steps = options_.stage_step_budget;
-  base.fault_salt = static_cast<uint32_t>(attempt);
-
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  const auto closure_key = [&](const std::string& entry, size_t i) {
-    std::set<std::string> visited;
-    std::queue<std::string> frontier;
-    visited.insert(entry);
-    frontier.push(entry);
-    while (!frontier.empty()) {
-      const std::string name = frontier.front();
-      frontier.pop();
-      for (const auto& callee : graph.Callees(name)) {
-        if (visited.insert(callee).second) {
-          frontier.push(callee);
-        }
-      }
-    }
-    uint64_t key = MixU64(kSymexecRowSalt, options_fp);
-    key = MixU64(key, index.preamble_hash);
-    key = Fnv1a64(entry, key);
-    key = MixU64(key, support::Rng::TaskSeed(base.rng_seed, static_cast<uint64_t>(i)));
-    for (const auto& name : visited) {  // std::set: sorted, deterministic.
-      key = Fnv1a64(name, key);
-      const auto it = hash_by_name.find(name);
-      key = MixU64(key, it != hash_by_name.end() ? it->second : 0x9e3779b97f4a7c15ULL);
-    }
-    return key;
-  };
-
-  std::vector<uint64_t> keys(entries.size(), 0);
-  std::vector<std::vector<double>> rows(entries.size());
+  std::vector<symx::SymExecResult> results(entries.size());
   std::vector<size_t> missing;
   for (size_t i = 0; i < entries.size(); ++i) {
-    keys[i] = closure_key(entries[i], i);
-    if (fn_cache_.Lookup(keys[i], &rows[i]) && rows[i].size() >= 8) {
+    std::vector<double> row;
+    if (keys[i].has_value() && fn_cache_.Lookup(*keys[i], &row) &&
+        DecodeSymexRow(row, &results[i])) {
       symexec_entries_reused_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      rows[i].clear();
       missing.push_back(i);
     }
   }
-  if (!missing.empty()) {
-    // Same fan-out as the module-level path; a watchdog throw propagates to
-    // GuardStage before anything is inserted, so a failed stage caches
-    // nothing (retries recompute, exactly like the module-level path).
-    const std::vector<symx::SymExecResult> computed =
-        support::ParallelMap<symx::SymExecResult>(missing.size(), [&](size_t m) {
-          const size_t i = missing[m];
-          symx::SymExecOptions entry_options = base;
-          entry_options.rng_seed =
-              support::Rng::TaskSeed(base.rng_seed, static_cast<uint64_t>(i));
-          return symx::Explore(module, entries[i], entry_options);
-        });
-    for (size_t m = 0; m < missing.size(); ++m) {
-      const size_t i = missing[m];
-      const symx::SymExecResult& result = computed[m];
-      std::vector<double> row = {static_cast<double>(result.paths_explored),
-                                 static_cast<double>(result.paths_completed),
-                                 static_cast<double>(result.solver_queries),
-                                 static_cast<double>(result.range_pruned),
-                                 static_cast<double>(result.sat_conflicts),
-                                 static_cast<double>(result.model_reuse_hits),
-                                 static_cast<double>(result.simplifier_folds),
-                                 static_cast<double>(result.vulns.size())};
-      for (const auto& vuln : result.vulns) {
-        row.push_back(static_cast<double>(static_cast<int>(vuln.kind)));
-        row.push_back(vuln.exploit_fraction);
-      }
-      fn_cache_.Insert(keys[i], row);
-      rows[i] = std::move(row);
-      symexec_entries_computed_.fetch_add(1, std::memory_order_relaxed);
+  // A watchdog throw propagates to GuardStage before anything is stored, so
+  // a failed stage stores nothing and its retry recomputes every miss.
+  std::vector<symx::SymExecResult> explored =
+      symx::ExploreEntries(module, entries, missing, options);
+  for (size_t m = 0; m < missing.size(); ++m) {
+    const size_t i = missing[m];
+    if (keys[i].has_value()) {
+      fn_cache_.Insert(*keys[i], EncodeSymexRow(explored[m]));
     }
+    results[i] = std::move(explored[m]);
+    symexec_entries_computed_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  uint64_t paths = 0;
-  uint64_t completed = 0;
-  uint64_t vuln_sites = 0;
-  uint64_t oob_sites = 0;
-  uint64_t div_sites = 0;
-  uint64_t queries = 0;
-  uint64_t pruned = 0;
-  uint64_t conflicts = 0;
-  uint64_t reuse_hits = 0;
-  uint64_t folds = 0;
-  double max_fraction = 0.0;
-  double sum_fraction = 0.0;
-  for (const auto& row : rows) {
-    paths += static_cast<uint64_t>(row[0]);
-    completed += static_cast<uint64_t>(row[1]);
-    queries += static_cast<uint64_t>(row[2]);
-    pruned += static_cast<uint64_t>(row[3]);
-    conflicts += static_cast<uint64_t>(row[4]);
-    reuse_hits += static_cast<uint64_t>(row[5]);
-    folds += static_cast<uint64_t>(row[6]);
-    const size_t nvulns = static_cast<size_t>(row[7]);
-    vuln_sites += nvulns;
-    for (size_t v = 0; v < nvulns; ++v) {
-      const double kind = row[8 + 2 * v];
-      const double fraction = row[9 + 2 * v];
-      if (static_cast<int>(kind) == static_cast<int>(symx::VulnKind::kOutOfBounds)) {
-        ++oob_sites;
-      } else {
-        ++div_sites;
-      }
-      max_fraction = std::max(max_fraction, fraction);
-      sum_fraction += fraction;
-    }
-  }
-  fv.Set("symx.entries", static_cast<double>(entries.size()));
-  fv.Set("symx.paths", static_cast<double>(paths));
-  fv.Set("symx.paths_completed", static_cast<double>(completed));
-  fv.Set("symx.vuln_sites", static_cast<double>(vuln_sites));
-  fv.Set("symx.oob_sites", static_cast<double>(oob_sites));
-  fv.Set("symx.divzero_sites", static_cast<double>(div_sites));
-  fv.Set("symx.solver_queries", static_cast<double>(queries));
-  fv.Set("symx.range_pruned", static_cast<double>(pruned));
-  fv.Set("symx.range_prune_rate",
-         static_cast<double>(pruned) /
-             static_cast<double>(std::max<uint64_t>(1, pruned + queries)));
-  fv.Set("symx.sat_conflicts", static_cast<double>(conflicts));
-  fv.Set("symx.model_reuse_hits", static_cast<double>(reuse_hits));
-  fv.Set("symx.simplifier_folds", static_cast<double>(folds));
-  fv.Set("symx.max_exploit_fraction", max_fraction);
-  fv.Set("symx.sum_exploit_fraction", sum_fraction);
-  return fv;
-}
-
-// Whole-file dynamic battery with payload reuse: the trace stream depends on
-// every function the roots reach, so the unit of caching is the file's full
-// token hash. Cached entries replay their recorded deadline consumption so
-// warm and cold runs expire a tight budget at the same point.
-metrics::FeatureVector Testbed::GranularDynamic(const lang::IrModule& module,
-                                                const FileFunctionIndex& index,
-                                                uint64_t seed,
-                                                support::Deadline* deadline) const {
-  uint64_t key = MixU64(kDynamicRowSalt, OptionsFingerprint());
-  key = MixU64(key, index.file_token_hash);
-  key = MixU64(key, seed);
-  std::vector<double> row;
-  if (fn_cache_.Lookup(key, &row) && row.size() == 8) {
-    deadline->TickOrThrow("dynamic", static_cast<uint64_t>(row[7]));
-    dynamic_files_reused_.fetch_add(1, std::memory_order_relaxed);
-    metrics::FeatureVector fv;
-    if (row[0] > 0.0) {
-      fv.Set("dynamic.runs", row[1]);
-      fv.Set("dynamic.fault_rate", row[2]);
-      fv.Set("dynamic.abort_rate", row[3]);
-      fv.Set("dynamic.mean_steps", row[4]);
-      fv.Set("dynamic.branch_density", row[5]);
-      fv.Set("dynamic.sink_events_per_run", row[6]);
-    }
-    return fv;
-  }
-  const uint64_t before = deadline->steps_used();
-  const metrics::FeatureVector fv =
-      DynamicFeatures(module, options_.dynamic_trials, seed, deadline);
-  row = {fv.Has("dynamic.runs") ? 1.0 : 0.0,
-         fv.Get("dynamic.runs"),
-         fv.Get("dynamic.fault_rate"),
-         fv.Get("dynamic.abort_rate"),
-         fv.Get("dynamic.mean_steps"),
-         fv.Get("dynamic.branch_density"),
-         fv.Get("dynamic.sink_events_per_run"),
-         static_cast<double>(deadline->steps_used() - before)};
-  fn_cache_.Insert(key, row);
-  dynamic_files_computed_.fetch_add(1, std::memory_order_relaxed);
-  return fv;
+  return symx::SymexFeaturesFromResults(results);
 }
 
 metrics::FeatureVector Testbed::ExtractFeatures(
     const std::vector<metrics::SourceFile>& files) const {
+  const uint64_t options_fp = OptionsFingerprint();
   uint64_t cache_key = 0;
   if (options_.cache_features) {
-    cache_key = HashSourceFiles(files, OptionsFingerprint());
+    cache_key = HashSourceFiles(files, options_fp);
     metrics::FeatureVector cached;
     if (cache_.Lookup(cache_key, &cached)) {
       return cached;
     }
   }
-  // Granular path (clean runs with cache_functions on): the shallow battery
-  // and every deep stage reuse content-addressed sub-results, and are
-  // bit-identical to the module-level path below.
-  const bool granular = GranularActive();
+  // Reuse of the AST, file and function tiers: switched off by options or
+  // by any armed fault site, so a faulted attempt's output is never served
+  // to a clean run or to another attempt. The stage bodies are the same
+  // either way; without reuse nothing is looked up or stored.
+  const bool reuse =
+      options_.cache_functions && support::FaultInjector::Global().Fingerprint() == 0;
   metrics::FeatureVector features =
-      granular ? GranularAppFeatures(files) : metrics::ExtractAppFeatures(files);
+      metrics::AppFeaturesFromFiles(files, [&](const metrics::SourceFile& file) {
+        std::optional<uint64_t> key;
+        if (reuse) {
+          key = Fnv1a64(file.text, MixU64(Fnv1a64(file.path, kFileRowSalt),
+                                          static_cast<uint64_t>(file.language)));
+        }
+        return ReuseOrCompute(
+            file_cache_, key, file_rows_computed_, file_rows_reused_,
+            [&] { return metrics::ExtractFileFeatures(file); },
+            [](const metrics::FeatureVector&) { return true; });
+      });
   if (!options_.with_dataflow && !options_.with_symexec && !options_.with_dynamic) {
     if (options_.cache_features) {
       cache_.Insert(cache_key, features);
@@ -639,6 +356,14 @@ metrics::FeatureVector Testbed::ExtractFeatures(
   // failures are soft: GuardStage degrades that stage for that file and the
   // walk continues, so the app row always completes.
   const StageGraph& graph = StageGraph::Extraction();
+  using StageResult = support::Result<metrics::FeatureVector>;
+  // Every analysis stage merges its features into the row on success.
+  const auto merge = [&](std::optional<metrics::FeatureVector> stage_features) {
+    if (stage_features.has_value()) {
+      features.MergeSum(*stage_features);
+    }
+    return stage_features.has_value();
+  };
   int deep_attempted = 0;
   int deep_done = 0;
   for (const auto& file : files) {
@@ -665,12 +390,21 @@ metrics::FeatureVector Testbed::ExtractFeatures(
     if (!options_.with_dynamic) {
       tracker.Disable(StageKind::kDynamic);
     }
-    // Parse artifacts are immutable and shared: the granular path serves
-    // them from the AST cache (a warm re-score of an unchanged file never
-    // re-parses); the module-level path builds them fresh per file.
+    // With reuse, parse and lower are served by the AST cache, whose
+    // function index keys the payload tiers; without it each runs fresh in
+    // its own guarded attempts and nothing is keyed.
     std::shared_ptr<const lang::TranslationUnit> unit;
     std::shared_ptr<const lang::IrModule> module;
     std::shared_ptr<const ParsedFile> parsed;
+    std::map<std::string, uint64_t> fn_hashes;
+    const auto fn_key = [&](uint64_t salt,
+                            const std::string& name) -> std::optional<uint64_t> {
+      const auto it = fn_hashes.find(name);
+      if (it == fn_hashes.end()) {
+        return std::nullopt;
+      }
+      return MixU64(MixU64(salt, it->second), options_fp);
+    };
     for (StageKind stage = tracker.NextRunnable(); stage != StageKind::kCount;
          stage = tracker.NextRunnable()) {
       tracker.MarkRunning(stage);
@@ -680,25 +414,24 @@ metrics::FeatureVector Testbed::ExtractFeatures(
           auto res = GuardStage<std::shared_ptr<const lang::TranslationUnit>>(
               stage, features,
               [&](int) -> support::Result<std::shared_ptr<const lang::TranslationUnit>> {
-                if (granular) {
-                  parsed = ast_cache_.Get(file);
-                  if (parsed->unit != nullptr) {
-                    return parsed->unit;
-                  }
-                  // Negative results are cached too; the original message is
-                  // not retained (nothing downstream consumes it).
-                  return support::Error(support::Error::Code::kParseError,
-                                        "parse failed");
+                if (!reuse) {
+                  return Share(lang::Parse(file.text));
                 }
-                auto fresh = lang::Parse(file.text);
-                if (!fresh.ok()) {
-                  return std::move(fresh).error();
+                parsed = ast_cache_.Get(file);
+                if (parsed->unit != nullptr) {
+                  return parsed->unit;
                 }
-                return std::make_shared<const lang::TranslationUnit>(
-                    std::move(fresh).value());
+                // Negative results are cached too; the original message is
+                // not retained (nothing downstream consumes it).
+                return support::Error(support::Error::Code::kParseError, "parse failed");
               });
           if (res.has_value()) {
             unit = std::move(*res);
+          }
+          if (parsed != nullptr) {
+            for (const auto& fp : parsed->index.functions) {
+              fn_hashes[fp.name] = fp.token_hash;
+            }
           }
           ok = unit != nullptr;
           break;
@@ -707,19 +440,13 @@ metrics::FeatureVector Testbed::ExtractFeatures(
           auto res = GuardStage<std::shared_ptr<const lang::IrModule>>(
               stage, features,
               [&](int) -> support::Result<std::shared_ptr<const lang::IrModule>> {
-                if (granular) {
-                  if (parsed->module != nullptr) {
-                    return parsed->module;
-                  }
-                  return support::Error(support::Error::Code::kInternal,
-                                        "lowering failed");
+                if (!reuse) {
+                  return Share(lang::LowerToIr(*unit));
                 }
-                auto fresh = lang::LowerToIr(*unit);
-                if (!fresh.ok()) {
-                  return std::move(fresh).error();
+                if (parsed->module != nullptr) {
+                  return parsed->module;
                 }
-                return std::make_shared<const lang::IrModule>(
-                    std::move(fresh).value());
+                return support::Error(support::Error::Code::kInternal, "lowering failed");
               });
           if (res.has_value()) {
             module = std::move(*res);
@@ -727,84 +454,64 @@ metrics::FeatureVector Testbed::ExtractFeatures(
           ok = module != nullptr;
           break;
         }
-        case StageKind::kDataflow: {
-          auto df = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
-                support::Deadline deadline = StageDeadline();
-                if (granular) {
-                  return GranularDataflow(*module, parsed->index, &deadline);
-                }
-                return dataflow::DataflowFeatures(*module, &deadline);
-              });
-          if (df.has_value()) {
-            features.MergeSum(*df);
-            ok = true;
-          }
+        case StageKind::kDataflow:
+          ok = merge(GuardStage<metrics::FeatureVector>(stage, features, [&](int) -> StageResult {
+            support::Deadline deadline = StageDeadline();
+            return dataflow::DataflowFeaturesFromRows(
+                *module, &deadline, [&](const lang::IrFunction& fn) {
+                  return ReuseOrCompute(
+                      fn_cache_, fn_key(kDataflowRowSalt, fn.name), fn_dataflow_computed_,
+                      fn_dataflow_reused_, [&] { return dataflow::DataflowRow(fn); },
+                      [](const std::vector<double>& row) {
+                        return row.size() == dataflow::kDataflowRowSize;
+                      });
+                });
+          }));
           break;
-        }
-        case StageKind::kIntervals: {
-          auto iv = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
-                support::Deadline deadline = StageDeadline();
-                if (granular) {
-                  return GranularIntervals(*module, parsed->index, &deadline);
-                }
-                dataflow::IntervalOptions interval_options;
-                interval_options.deadline = &deadline;
-                return dataflow::IntervalFeatures(*module, interval_options);
-              });
-          if (iv.has_value()) {
-            features.MergeSum(*iv);
-            ok = true;
-          }
+        case StageKind::kIntervals:
+          ok = merge(GuardStage<metrics::FeatureVector>(stage, features, [&](int) -> StageResult {
+            support::Deadline deadline = StageDeadline();
+            dataflow::IntervalOptions interval_options;
+            interval_options.deadline = &deadline;
+            return dataflow::IntervalFeaturesFromRows(*module, [&](const lang::IrFunction& fn) {
+              return ReuseOrCompute(
+                  fn_cache_, fn_key(kIntervalsRowSalt, fn.name), fn_intervals_computed_,
+                  fn_intervals_reused_, [&] { return dataflow::IntervalRow(fn, interval_options); },
+                  [&](const std::vector<double>& row) {
+                    return AcceptAndReplay(row, dataflow::kIntervalRowSize, deadline, "intervals");
+                  });
+            });
+          }));
           break;
-        }
-        case StageKind::kSymexec: {
-          auto sx = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int attempt) -> support::Result<metrics::FeatureVector> {
-                if (granular) {
-                  return GranularSymexec(*module, parsed->index, attempt);
-                }
-                // Symexec fans its entries out to pool workers, which do not
-                // inherit this thread's ScopedAttempt salt — the retry
-                // attempt rides in the options instead (see
-                // SymExecOptions::fault_salt).
-                symx::SymExecOptions symexec_options = options_.symexec;
-                symexec_options.watchdog_steps = options_.stage_step_budget;
-                symexec_options.fault_salt = static_cast<uint32_t>(attempt);
-                return symx::SymexFeatures(*module, symexec_options);
-              });
-          if (sx.has_value()) {
-            features.MergeSum(*sx);
-            ok = true;
-          }
+        case StageKind::kSymexec:
+          ok = merge(GuardStage<metrics::FeatureVector>(
+              stage, features, [&](int attempt) -> StageResult {
+                return SymexecFeatures(*module, parsed.get(), fn_hashes, options_fp, attempt);
+              }));
           break;
-        }
-        case StageKind::kDynamic: {
-          auto dyn = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
-                support::Deadline deadline = StageDeadline();
-                // Seeded by attempt index, so a file's dynamic stream is a
-                // function of its position among deep candidates, not of
-                // earlier parse outcomes.
-                const uint64_t seed = support::Rng::TaskSeed(
-                    options_.dynamic_seed, static_cast<uint64_t>(attempt_index));
-                if (granular) {
-                  return GranularDynamic(*module, parsed->index, seed, &deadline);
-                }
-                return DynamicFeatures(*module, options_.dynamic_trials, seed,
-                                       &deadline);
-              });
-          if (dyn.has_value()) {
-            features.MergeSum(*dyn);
-            ok = true;
-          }
+        case StageKind::kDynamic:
+          ok = merge(GuardStage<metrics::FeatureVector>(stage, features, [&](int) -> StageResult {
+            support::Deadline deadline = StageDeadline();
+            // Seeded by attempt index, so a file's dynamic stream is a
+            // function of its position among deep candidates, not of
+            // earlier parse outcomes. The trace stream depends on every
+            // function the roots reach, so the unit of reuse is the file.
+            const uint64_t seed = support::Rng::TaskSeed(
+                options_.dynamic_seed, static_cast<uint64_t>(attempt_index));
+            std::optional<uint64_t> key;
+            if (parsed != nullptr) {
+              key = MixU64(MixU64(MixU64(kDynamicRowSalt, options_fp),
+                                  parsed->index.file_token_hash),
+                           seed);
+            }
+            return DynamicFeaturesFromRow(ReuseOrCompute(
+                fn_cache_, key, dynamic_files_computed_, dynamic_files_reused_,
+                [&] { return DynamicRow(*module, options_.dynamic_trials, seed, &deadline); },
+                [&](const std::vector<double>& row) {
+                  return AcceptAndReplay(row, kDynamicRowSize, deadline, "dynamic");
+                }));
+          }));
           break;
-        }
         case StageKind::kFeatures:
         case StageKind::kPredict:
         case StageKind::kCount:

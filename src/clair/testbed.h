@@ -6,6 +6,7 @@
 
 #include <array>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -56,10 +57,11 @@ struct TestbedOptions {
   // artifacts, per-file metric vectors, per-function dataflow/interval
   // payloads, and per-entry symexec results are content-addressed by
   // normalized token hashes, so a warm re-score after an edit re-runs deep
-  // analyses only for the changed functions. Output is bit-identical to the
-  // module-level path (tests/incremental_test pins this); when any fault
-  // site is armed the testbed automatically falls back to the module-level
-  // path, so fault semantics and faulted-run byte-identity are untouched.
+  // analyses only for the changed functions. `false` bypasses the AST, file
+  // and function tiers: the same stage bodies run with nothing looked up or
+  // stored. Any armed fault site bypasses them the same way, so a faulted
+  // attempt's output is never reused. Output is bit-identical either way
+  // (tests/incremental_test pins this).
   bool cache_functions = true;
   // Byte cap for the function-granular row cache (0 = unbounded); oldest
   // entries evict first, surfaced as cache_evictions in RunReport.
@@ -233,40 +235,27 @@ class Testbed {
   // cache key so differently-configured testbeds never share rows.
   uint64_t OptionsFingerprint() const;
 
-  // True when the function-granular path is in effect: enabled by options
-  // and no fault site is armed (fault runs use the module-level path
-  // verbatim, preserving injection semantics).
-  bool GranularActive() const;
-
   // One app row from already-materialized sources (Collect's resume path
   // re-extracts through this after a digest mismatch).
   AppRecord ExtractRecordFromFiles(
       const corpus::AppSpec& spec,
       const std::vector<metrics::SourceFile>& files) const;
 
-  // Granular-path stage bodies; each replicates the module-level fold
-  // op-for-op and is bit-identical to it (tests/incremental_test).
-  metrics::FeatureVector GranularAppFeatures(
-      const std::vector<metrics::SourceFile>& files) const;
-  metrics::FeatureVector GranularDataflow(const lang::IrModule& module,
-                                          const FileFunctionIndex& index,
-                                          support::Deadline* deadline) const;
-  metrics::FeatureVector GranularIntervals(const lang::IrModule& module,
-                                           const FileFunctionIndex& index,
-                                           support::Deadline* deadline) const;
-  metrics::FeatureVector GranularSymexec(const lang::IrModule& module,
-                                         const FileFunctionIndex& index,
-                                         int attempt) const;
-  metrics::FeatureVector GranularDynamic(const lang::IrModule& module,
-                                         const FileFunctionIndex& index,
-                                         uint64_t seed,
-                                         support::Deadline* deadline) const;
+  // The symexec stage body: explores the module's entries, reusing stored
+  // per-entry payloads when `parsed` (the file's AST-cache entry, null
+  // without reuse) keys them. `fn_hashes` maps function names to body-token
+  // hashes; `attempt` is the GuardStage retry index.
+  metrics::FeatureVector SymexecFeatures(const lang::IrModule& module,
+                                         const ParsedFile* parsed,
+                                         const std::map<std::string, uint64_t>& fn_hashes,
+                                         uint64_t options_fp, int attempt) const;
 
   const corpus::EcosystemGenerator& ecosystem_;
   TestbedOptions options_;
   mutable FeatureCache cache_;
   // Function-granular tiers (see incremental.h): parse artifacts, per-file
-  // metric vectors, and per-function/per-entry analysis payloads.
+  // metric vectors, and per-function/per-entry analysis payloads. Read and
+  // written only while reuse is on (cache_functions, no fault site armed).
   mutable AstCache ast_cache_;
   mutable FeatureCache file_cache_;
   mutable RowCache fn_cache_;

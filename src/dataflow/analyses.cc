@@ -744,9 +744,33 @@ TaintSummary AnalyzeTaint(const lang::IrFunction& fn, const CfgView* cfg,
   return CountTaint(fn, view, in_regs, in_arrays);
 }
 
+std::vector<double> DataflowRow(const lang::IrFunction& fn, DataflowMode mode) {
+  const CfgView cfg(fn);
+  const ReachingDefinitions rd(fn, &cfg, mode);
+  const Liveness lv(fn, &cfg, mode);
+  const Dominators dom(fn, &cfg, mode);
+  const TaintSummary ts = AnalyzeTaint(fn, &cfg, mode);
+  return {rd.MeanReachingPerUse(),
+          static_cast<double>(lv.MaxLiveAtEntry()),
+          static_cast<double>(dom.TreeDepth()),
+          static_cast<double>(ts.tainted_instructions),
+          static_cast<double>(ts.tainted_branches),
+          static_cast<double>(ts.tainted_array_indices),
+          static_cast<double>(ts.tainted_sinks),
+          static_cast<double>(ts.tainted_call_args),
+          static_cast<double>(ts.input_sites)};
+}
+
 metrics::FeatureVector DataflowFeatures(const lang::IrModule& module,
                                         support::Deadline* deadline,
                                         DataflowMode mode) {
+  return DataflowFeaturesFromRows(
+      module, deadline, [mode](const lang::IrFunction& fn) { return DataflowRow(fn, mode); });
+}
+
+metrics::FeatureVector DataflowFeaturesFromRows(const lang::IrModule& module,
+                                                support::Deadline* deadline,
+                                                const FunctionRowFn& row_of) {
   support::FaultInjector::Global().MaybeFail(support::FaultSite::kDataflow,
                                              lang::ModuleFingerprint(module));
   metrics::FeatureVector fv;
@@ -756,27 +780,23 @@ metrics::FeatureVector DataflowFeatures(const lang::IrModule& module,
   TaintSummary total;
   for (const auto& fn : module.functions) {
     if (deadline != nullptr) {
-      // Weight by block count: the fixpoint analyses below are linear-ish in
+      // Weight by block count: the fixpoint analyses are linear-ish in
       // blocks per iteration, so the watchdog tracks real work. The tick is
       // deliberately identical in both modes (and at any worklist schedule),
       // so step budgets trip at the same logical point and feature rows stay
       // byte-identical between engine and reference runs.
       deadline->TickOrThrow("dataflow", fn.blocks.size() + 1);
     }
-    const CfgView cfg(fn);
-    const ReachingDefinitions rd(fn, &cfg, mode);
-    mean_reaching_sum += rd.MeanReachingPerUse();
-    const Liveness lv(fn, &cfg, mode);
-    max_live = std::max(max_live, lv.MaxLiveAtEntry());
-    const Dominators dom(fn, &cfg, mode);
-    max_dom_depth = std::max(max_dom_depth, dom.TreeDepth());
-    const TaintSummary ts = AnalyzeTaint(fn, &cfg, mode);
-    total.tainted_instructions += ts.tainted_instructions;
-    total.tainted_branches += ts.tainted_branches;
-    total.tainted_array_indices += ts.tainted_array_indices;
-    total.tainted_sinks += ts.tainted_sinks;
-    total.tainted_call_args += ts.tainted_call_args;
-    total.input_sites += ts.input_sites;
+    const std::vector<double> row = row_of(fn);
+    mean_reaching_sum += row[0];
+    max_live = std::max(max_live, static_cast<int>(row[1]));
+    max_dom_depth = std::max(max_dom_depth, static_cast<int>(row[2]));
+    total.tainted_instructions += static_cast<long long>(row[3]);
+    total.tainted_branches += static_cast<long long>(row[4]);
+    total.tainted_array_indices += static_cast<long long>(row[5]);
+    total.tainted_sinks += static_cast<long long>(row[6]);
+    total.tainted_call_args += static_cast<long long>(row[7]);
+    total.input_sites += static_cast<long long>(row[8]);
   }
   const double fn_count =
       module.functions.empty() ? 1.0 : static_cast<double>(module.functions.size());

@@ -39,7 +39,7 @@ class ReachingDefinitions {
  public:
   explicit ReachingDefinitions(const lang::IrFunction& fn,
                                const CfgView* cfg = nullptr,
-                               DataflowMode mode = DefaultDataflowMode());
+                               DataflowMode mode = DataflowMode::kEngine);
 
   const std::vector<DefSite>& definitions() const { return defs_; }
   // Bit i set => definition i reaches the entry of `block`.
@@ -65,7 +65,7 @@ class ReachingDefinitions {
 class Liveness {
  public:
   explicit Liveness(const lang::IrFunction& fn, const CfgView* cfg = nullptr,
-                    DataflowMode mode = DefaultDataflowMode());
+                    DataflowMode mode = DataflowMode::kEngine);
 
   // True if `reg` is live on entry to `block`.
   bool LiveIn(lang::BlockId block, lang::RegId reg) const {
@@ -85,7 +85,7 @@ class Liveness {
 class Dominators {
  public:
   explicit Dominators(const lang::IrFunction& fn, const CfgView* cfg = nullptr,
-                      DataflowMode mode = DefaultDataflowMode());
+                      DataflowMode mode = DataflowMode::kEngine);
 
   // Immediate dominator; entry's idom is itself. -1 for unreachable blocks.
   lang::BlockId Idom(lang::BlockId block) const {
@@ -123,7 +123,14 @@ struct TaintSummary {
 };
 
 TaintSummary AnalyzeTaint(const lang::IrFunction& fn, const CfgView* cfg = nullptr,
-                          DataflowMode mode = DefaultDataflowMode());
+                          DataflowMode mode = DataflowMode::kEngine);
+
+// One function's dataflow payload, in the slot order the fold reads it:
+// mean reaching definitions per use, max live registers, dominator-tree
+// depth, then the six TaintSummary counts in declaration order.
+inline constexpr size_t kDataflowRowSize = 9;
+std::vector<double> DataflowRow(const lang::IrFunction& fn,
+                                DataflowMode mode = DataflowMode::kEngine);
 
 // Aggregates all dataflow-derived features for a module into the shared
 // FeatureVector namespace "dataflow.*". `deadline`, when given, is ticked
@@ -133,7 +140,14 @@ TaintSummary AnalyzeTaint(const lang::IrFunction& fn, const CfgView* cfg = nullp
 // either mode and feature rows stay byte-identical.
 metrics::FeatureVector DataflowFeatures(const lang::IrModule& module,
                                         support::Deadline* deadline = nullptr,
-                                        DataflowMode mode = DefaultDataflowMode());
+                                        DataflowMode mode = DataflowMode::kEngine);
+
+// DataflowFeatures with each function's payload supplied by `row_of`
+// (DataflowRow, or a stored copy of it): the fault check, the per-function
+// deadline tick, and the fold, in IR function order.
+metrics::FeatureVector DataflowFeaturesFromRows(const lang::IrModule& module,
+                                                support::Deadline* deadline,
+                                                const FunctionRowFn& row_of);
 
 }  // namespace dataflow
 

@@ -1,20 +1,8 @@
 #include "src/dataflow/engine.h"
 
-#include <cstdlib>
 #include <utility>
 
 namespace dataflow {
-
-DataflowMode DefaultDataflowMode() {
-  static const DataflowMode mode = [] {
-    const char* text = std::getenv("CLAIR_DATAFLOW");
-    if (text != nullptr && std::string_view(text) == "reference") {
-      return DataflowMode::kReference;
-    }
-    return DataflowMode::kEngine;
-  }();
-  return mode;
-}
 
 CfgView::CfgView(const lang::IrFunction& function)
     : fn(&function), num_blocks(function.blocks.size()) {

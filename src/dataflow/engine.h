@@ -37,9 +37,9 @@ enum class DataflowMode {
   kReference,  // Original dense full-sweep implementations (oracle).
 };
 
-// Process-wide default, resolved once from CLAIR_DATAFLOW
-// ("reference" selects the oracle; anything else selects the engine).
-DataflowMode DefaultDataflowMode();
+// Supplies one function's flat payload row to a module-level fold: the
+// analysis itself, or a stored copy of its output.
+using FunctionRowFn = std::function<std::vector<double>(const lang::IrFunction&)>;
 
 // CFG facts computed once per function and shared across all analyses.
 struct CfgView {

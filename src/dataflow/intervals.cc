@@ -272,7 +272,7 @@ namespace {
 
 // --- Value domains ------------------------------------------------------------
 //
-// The analyzer below is one template shared by both CLAIR_DATAFLOW modes;
+// The analyzer below is one template shared by both DataflowMode values;
 // only the value domain differs. Reference mode keeps the original sentinel
 // Interval; engine mode stores support::ConstantInterval values and runs the
 // new algebra. Engine values are kept *normalised* (a defined bound sitting
@@ -1126,8 +1126,36 @@ IntervalReport AnalyzeIntervals(const lang::IrFunction& fn, const IntervalOption
   return IntervalAnalyzer<CiDomain>(fn, options, cfg).Run();
 }
 
+std::vector<double> IntervalRow(const lang::IrFunction& fn, const IntervalOptions& options) {
+  const uint64_t before = options.deadline != nullptr ? options.deadline->steps_used() : 0;
+  const IntervalReport report = AnalyzeIntervals(fn, options);  // CfgView built per mode inside.
+  long long possible_oob = 0;
+  long long possible_div0 = 0;
+  for (const auto& finding : report.findings) {
+    if (finding.kind == AiFinding::Kind::kPossibleOutOfBounds) {
+      ++possible_oob;
+    } else {
+      ++possible_div0;
+    }
+  }
+  const uint64_t after = options.deadline != nullptr ? options.deadline->steps_used() : 0;
+  return {static_cast<double>(report.array_accesses),
+          static_cast<double>(report.proven_in_bounds),
+          static_cast<double>(report.divisions),
+          static_cast<double>(report.proven_nonzero_divisor),
+          static_cast<double>(possible_oob),
+          static_cast<double>(possible_div0),
+          static_cast<double>(after - before)};
+}
+
 metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
                                         const IntervalOptions& options) {
+  return IntervalFeaturesFromRows(
+      module, [&options](const lang::IrFunction& fn) { return IntervalRow(fn, options); });
+}
+
+metrics::FeatureVector IntervalFeaturesFromRows(const lang::IrModule& module,
+                                                const FunctionRowFn& row_of) {
   support::FaultInjector::Global().MaybeFail(support::FaultSite::kIntervals,
                                              lang::ModuleFingerprint(module));
   metrics::FeatureVector fv;
@@ -1138,18 +1166,13 @@ metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
   long long possible_oob = 0;
   long long possible_div0 = 0;
   for (const auto& fn : module.functions) {
-    const IntervalReport report = AnalyzeIntervals(fn, options);  // CfgView built per mode inside.
-    accesses += report.array_accesses;
-    proven += report.proven_in_bounds;
-    divisions += report.divisions;
-    proven_div += report.proven_nonzero_divisor;
-    for (const auto& finding : report.findings) {
-      if (finding.kind == AiFinding::Kind::kPossibleOutOfBounds) {
-        ++possible_oob;
-      } else {
-        ++possible_div0;
-      }
-    }
+    const std::vector<double> row = row_of(fn);
+    accesses += static_cast<long long>(row[0]);
+    proven += static_cast<long long>(row[1]);
+    divisions += static_cast<long long>(row[2]);
+    proven_div += static_cast<long long>(row[3]);
+    possible_oob += static_cast<long long>(row[4]);
+    possible_div0 += static_cast<long long>(row[5]);
   }
   fv.Set("ai.array_accesses", static_cast<double>(accesses));
   fv.Set("ai.proven_in_bounds", static_cast<double>(proven));

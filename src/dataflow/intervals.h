@@ -127,7 +127,7 @@ struct IntervalOptions {
   // are related by the ToConstantInterval/FromConstantInterval bijection
   // (engine values stay normalised), so both modes produce identical
   // reports by construction.
-  DataflowMode mode = DefaultDataflowMode();
+  DataflowMode mode = DataflowMode::kEngine;
 };
 
 // Analyzes one function (intraprocedural; calls return Top). `cfg`, when
@@ -137,9 +137,25 @@ IntervalReport AnalyzeIntervals(const lang::IrFunction& fn,
                                 const IntervalOptions& options = {},
                                 const CfgView* cfg = nullptr);
 
+// One function's interval payload, in the slot order the fold reads it:
+// array accesses, accesses proven in bounds, divisions, divisors proven
+// nonzero, possible out-of-bounds findings, possible division-by-zero
+// findings, and the options.deadline steps the analysis consumed (0 without
+// a deadline), which a stored copy replays so a step budget expires at the
+// same point whether the row is recomputed or not.
+inline constexpr size_t kIntervalRowSize = 7;
+std::vector<double> IntervalRow(const lang::IrFunction& fn,
+                                const IntervalOptions& options = {});
+
 // Whole-module aggregation into "ai.*" features.
 metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
                                         const IntervalOptions& options = {});
+
+// IntervalFeatures with each function's payload supplied by `row_of`
+// (IntervalRow, or a stored copy of it): the fault check and the fold, in IR
+// function order.
+metrics::FeatureVector IntervalFeaturesFromRows(const lang::IrModule& module,
+                                                const FunctionRowFn& row_of);
 
 }  // namespace dataflow
 

@@ -357,9 +357,15 @@ FeatureVector ExtractFileFeatures(const SourceFile& file) {
 }
 
 FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files) {
+  return AppFeaturesFromFiles(files, ExtractFileFeatures);
+}
+
+FeatureVector AppFeaturesFromFiles(
+    const std::vector<SourceFile>& files,
+    const std::function<FeatureVector(const SourceFile&)>& file_row) {
   FeatureVector app;
   for (const auto& file : files) {
-    app.MergeSum(ExtractFileFeatures(file));
+    app.MergeSum(file_row(file));
   }
   app.Set("app.files", static_cast<double>(files.size()));
   const double code = app.Get("loc.code");

@@ -9,6 +9,7 @@
 #ifndef SRC_METRICS_EXTRACT_H_
 #define SRC_METRICS_EXTRACT_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +36,13 @@ FeatureVector ExtractFileFeatures(const SourceFile& file);
 // app-level features (file count, language mix, call-graph shape, mean and
 // max per-function complexity).
 FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files);
+
+// ExtractAppFeatures with each file's vector supplied by `file_row`
+// (ExtractFileFeatures, or a stored copy of its output): MergeSum in file
+// order, then the app-level epilogue.
+FeatureVector AppFeaturesFromFiles(
+    const std::vector<SourceFile>& files,
+    const std::function<FeatureVector(const SourceFile&)>& file_row);
 
 // The Shin et al. per-function features the paper cites in §4 (LoC, number
 // of functions, declarations, branches, preprocessed lines, in/out args);

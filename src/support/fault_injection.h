@@ -37,8 +37,8 @@ namespace support {
 enum class FaultSite : int {
   kParse = 0,    // lang::Parse
   kLower,        // lang::LowerToIr
-  kDataflow,     // dataflow::DataflowFeatures
-  kIntervals,    // dataflow::IntervalFeatures
+  kDataflow,     // dataflow::DataflowFeaturesFromRows (per module)
+  kIntervals,    // dataflow::IntervalFeaturesFromRows (per module)
   kSolver,       // symexec solver queries (per-query granularity)
   kDynamic,      // lang::Execute (dynamic-trace interpreter)
   kCache,        // clair::FeatureCache lookups (simulated corruption)

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "src/metrics/callgraph.h"
 #include "src/support/deadline.h"
@@ -1020,19 +1021,46 @@ uint64_t SolverSessionReuseCount() {
 
 metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
                                      const SymExecOptions& options) {
-  metrics::FeatureVector fv;
+  const std::vector<std::string> entries = SymexEntries(module, options);
+  std::vector<size_t> indices(entries.size());
+  std::iota(indices.begin(), indices.end(), size_t{0});
+  return SymexFeaturesFromResults(ExploreEntries(module, entries, indices, options));
+}
+
+std::vector<std::string> SymexEntries(const lang::IrModule& module,
+                                      const SymExecOptions& options) {
   std::vector<std::string> entries;
   if (module.FindFunction("main") != nullptr) {
     entries.push_back("main");
   } else {
-    const metrics::CallGraph graph(module);
-    entries = graph.Roots();
+    entries = metrics::CallGraph(module).Roots();
   }
   const size_t max_entries =
       options.max_entries > 0 ? static_cast<size_t>(options.max_entries) : entries.size();
   if (entries.size() > max_entries) {
     entries.resize(max_entries);
   }
+  return entries;
+}
+
+std::vector<SymExecResult> ExploreEntries(const lang::IrModule& module,
+                                          const std::vector<std::string>& entries,
+                                          const std::vector<size_t>& indices,
+                                          const SymExecOptions& options) {
+  // Entry explorations are independent (each builds its own pool, solver,
+  // and RNG), so they fan out on the global pool. Per-entry Rng::TaskSeed
+  // streams keep every entry's sampling independent of sibling count and
+  // scheduling, so the results are bit-identical at any CLAIR_THREADS value.
+  return support::ParallelMap<SymExecResult>(indices.size(), [&](size_t m) {
+    SymExecOptions entry_options = options;
+    entry_options.rng_seed =
+        support::Rng::TaskSeed(options.rng_seed, static_cast<uint64_t>(indices[m]));
+    return Explore(module, entries[indices[m]], entry_options);
+  });
+}
+
+metrics::FeatureVector SymexFeaturesFromResults(const std::vector<SymExecResult>& results) {
+  metrics::FeatureVector fv;
   uint64_t paths = 0;
   uint64_t completed = 0;
   uint64_t vuln_sites = 0;
@@ -1045,18 +1073,6 @@ metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
   uint64_t folds = 0;
   double max_fraction = 0.0;
   double sum_fraction = 0.0;
-  // Entry explorations are independent (each builds its own pool, solver,
-  // and RNG), so they fan out on the global pool. Per-entry Rng::TaskSeed
-  // streams keep every entry's sampling independent of sibling count and
-  // scheduling; aggregation below runs in index order, so the features are
-  // bit-identical at any CLAIR_THREADS value.
-  const std::vector<SymExecResult> results = support::ParallelMap<SymExecResult>(
-      entries.size(), [&](size_t i) {
-        SymExecOptions entry_options = options;
-        entry_options.rng_seed =
-            support::Rng::TaskSeed(options.rng_seed, static_cast<uint64_t>(i));
-        return Explore(module, entries[i], entry_options);
-      });
   for (const SymExecResult& result : results) {
     paths += result.paths_explored;
     completed += result.paths_completed;
@@ -1076,7 +1092,7 @@ metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
       sum_fraction += vuln.exploit_fraction;
     }
   }
-  fv.Set("symx.entries", static_cast<double>(entries.size()));
+  fv.Set("symx.entries", static_cast<double>(results.size()));
   fv.Set("symx.paths", static_cast<double>(paths));
   fv.Set("symx.paths_completed", static_cast<double>(completed));
   fv.Set("symx.vuln_sites", static_cast<double>(vuln_sites));

@@ -140,6 +140,25 @@ SymExecResult Explore(const lang::IrModule& module, const std::string& entry,
 metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
                                      const SymExecOptions& options = {});
 
+// The entry functions SymexFeatures explores: main() when present, otherwise
+// every call-graph root, capped at options.max_entries.
+std::vector<std::string> SymexEntries(const lang::IrModule& module,
+                                      const SymExecOptions& options);
+
+// Explores entries[i] for each i in `indices`, fanned out on the global pool;
+// results follow `indices`. Entry i always runs with RNG seed
+// Rng::TaskSeed(options.rng_seed, i), so its result does not depend on which
+// other indices ride along.
+std::vector<SymExecResult> ExploreEntries(const lang::IrModule& module,
+                                          const std::vector<std::string>& entries,
+                                          const std::vector<size_t>& indices,
+                                          const SymExecOptions& options);
+
+// The "symx.*" fold over one result per entry, in entry order. Reads only the
+// path, solver and simplifier counters and each vuln's kind and exploit
+// fraction.
+metrics::FeatureVector SymexFeaturesFromResults(const std::vector<SymExecResult>& results);
+
 // Number of times an exploration recycled its thread's persistent solver
 // session instead of constructing a fresh SatSolver (first lease on a thread
 // does not count — nothing was reused yet). Monotonic and process-wide;

@@ -1,7 +1,8 @@
 // Function-granular incremental extraction: content addressing, diff
 // planning, version history, warm re-scores that only re-run changed
 // functions, checkpoint/version splicing, and store splicing — every path
-// pinned bit-identical to the from-scratch module-level battery.
+// pinned bit-identical to from-scratch extraction and to pinned corpus
+// digests.
 #include "src/clair/incremental.h"
 
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include "src/metrics/extract.h"
 #include "src/ml/feature_store.h"
 #include "src/support/fault_injection.h"
+#include "src/symexec/executor.h"
 
 namespace {
 
@@ -318,6 +320,59 @@ TEST(Caches, RowCacheByteCapBoundsResidency) {
   EXPECT_FALSE(cache.Lookup(1, &out));
 }
 
+TEST(Caches, SymexRowDecodeRejectsMalformedRows) {
+  symx::SymExecResult result;
+  result.paths_explored = 9;
+  result.paths_completed = 7;
+  result.solver_queries = 40;
+  result.range_pruned = 3;
+  result.sat_conflicts = 11;
+  result.model_reuse_hits = 5;
+  result.simplifier_folds = 2;
+  result.vulns.resize(2);
+  result.vulns[0].kind = symx::VulnKind::kOutOfBounds;
+  result.vulns[0].exploit_fraction = 0.25;
+  result.vulns[1].kind = symx::VulnKind::kDivByZero;
+  result.vulns[1].exploit_fraction = 0.5;
+  const std::vector<double> row = clair::EncodeSymexRow(result);
+  ASSERT_EQ(row.size(), 8u + 2u * 2u);
+
+  // A valid row round-trips every field the symx.* fold reads.
+  symx::SymExecResult decoded;
+  ASSERT_TRUE(clair::DecodeSymexRow(row, &decoded));
+  EXPECT_EQ(symx::SymexFeaturesFromResults({decoded}).values(),
+            symx::SymexFeaturesFromResults({result}).values());
+  EXPECT_EQ(clair::EncodeSymexRow(decoded), row);
+
+  // A short row: its count promises more vuln pairs than it holds.
+  symx::SymExecResult untouched;
+  untouched.paths_explored = 123;
+  std::vector<double> short_row(row.begin(), row.end() - 1);
+  EXPECT_FALSE(clair::DecodeSymexRow(short_row, &untouched));
+  short_row.pop_back();
+  EXPECT_FALSE(clair::DecodeSymexRow(short_row, &untouched));
+  EXPECT_FALSE(clair::DecodeSymexRow(std::vector<double>(row.begin(), row.begin() + 7),
+                                     &untouched));
+  // An over-long row: trailing pairs the count does not account for.
+  std::vector<double> long_row = row;
+  long_row.push_back(0.0);
+  long_row.push_back(0.75);
+  EXPECT_FALSE(clair::DecodeSymexRow(long_row, &untouched));
+  // A count far beyond the row, and an invalid vuln kind.
+  std::vector<double> huge_count = row;
+  huge_count[7] = 1e18;
+  EXPECT_FALSE(clair::DecodeSymexRow(huge_count, &untouched));
+  std::vector<double> bad_kind = row;
+  bad_kind[8] = 2.0;
+  EXPECT_FALSE(clair::DecodeSymexRow(bad_kind, &untouched));
+  std::vector<double> bad_counter = row;
+  bad_counter[2] = -1.0;
+  EXPECT_FALSE(clair::DecodeSymexRow(bad_counter, &untouched));
+  // Rejected rows leave the output alone.
+  EXPECT_EQ(untouched.paths_explored, 123u);
+  EXPECT_TRUE(untouched.vulns.empty());
+}
+
 TEST(RunReportIo, IncrementalCountersRoundTrip) {
   clair::RunReport report;
   report.cache_evictions = 17;
@@ -386,58 +441,86 @@ TEST(Incremental, WarmRescoreRecomputesOnlyChangedFunctions) {
   EXPECT_GE(after.dynamic_files_reused - before.dynamic_files_reused, 1u);
 
   // The warm result is bit-identical to a from-scratch extraction of the
-  // edited tree — granular path (fresh caches) and module-level path alike.
+  // edited tree — through fresh caches and with the reuse tiers bypassed.
   clair::Testbed scratch(eco, options);
   EXPECT_EQ(warm.values(), scratch.ExtractFeatures(edited).values());
-  clair::TestbedOptions module_options = options;
-  module_options.cache_functions = false;
-  clair::Testbed module_path(eco, module_options);
-  EXPECT_EQ(warm.values(), module_path.ExtractFeatures(edited).values());
-  EXPECT_EQ(cold.values(), module_path.ExtractFeatures(files).values());
+  clair::TestbedOptions cache_off_options = options;
+  cache_off_options.cache_functions = false;
+  clair::Testbed cache_off(eco, cache_off_options);
+  EXPECT_EQ(warm.values(), cache_off.ExtractFeatures(edited).values());
+  EXPECT_EQ(cold.values(), cache_off.ExtractFeatures(files).values());
   // And the edit actually moved something.
   EXPECT_NE(warm.values(), cold.values());
 }
 
-TEST(Incremental, CollectBitIdenticalAcrossThreadsAndPaths) {
+// Fnv1a64(SaveRecords(Collect())) of SmallEcosystem() under each
+// configuration below, recorded from the release that still carried a
+// separate module-level extraction path — the independent oracle for the one
+// remaining path. Any drift in a feature row, a robust.* provenance stamp or
+// the record encoding moves them.
+constexpr uint64_t kCleanDigest = 0x9a664638f080ffa5ULL;
+constexpr uint64_t kDataflowFaultDigest = 0xc02961a953ee21d0ULL;
+constexpr uint64_t kMixedFaultDigest = 0x06170e4e37365bebULL;
+constexpr uint64_t kLowerFaultDigest = 0xeeea7aa69054686aULL;
+constexpr uint64_t kStepBudgetDigest = 0xbee331b246673838ULL;
+
+uint64_t CollectDigest(const corpus::EcosystemGenerator& eco,
+                       const clair::TestbedOptions& options) {
+  return clair::Fnv1a64(clair::SaveRecords(clair::Testbed(eco, options).Collect()));
+}
+
+TEST(Incremental, CollectMatchesPinnedDigestsAcrossThreadsAndCacheModes) {
   const auto eco = SmallEcosystem();
-
-  clair::TestbedOptions module_options;
-  module_options.cache_functions = false;
-  module_options.threads = 1;
-  const std::string golden =
-      clair::SaveRecords(clair::Testbed(eco, module_options).Collect());
-
+  clair::TestbedOptions cache_off;
+  cache_off.cache_functions = false;
+  EXPECT_EQ(CollectDigest(eco, cache_off), kCleanDigest);
   for (int threads : {1, 4, 0}) {
     clair::TestbedOptions options;
     options.threads = threads;
     const clair::Testbed testbed(eco, options);
-    EXPECT_EQ(clair::SaveRecords(testbed.Collect()), golden)
+    EXPECT_EQ(clair::Fnv1a64(clair::SaveRecords(testbed.Collect())), kCleanDigest)
         << "threads=" << threads;
     const auto stats = testbed.incremental_stats();
     EXPECT_GT(stats.fn_dataflow_computed, 0u);
   }
 }
 
-TEST(Incremental, ArmedFaultsFallBackToModulePath) {
+TEST(Incremental, FaultedAndBudgetBoundCollectsMatchPinnedDigests) {
+  const auto eco = SmallEcosystem();
+  const std::pair<const char*, uint64_t> faulted[] = {
+      {"dataflow:0.5,seed:7", kDataflowFaultDigest},
+      {"parse:0.3,solver:0.4,dynamic:0.3,intervals:0.2,seed:9", kMixedFaultDigest},
+      {"lower:1", kLowerFaultDigest},
+  };
+  for (const auto& [config, digest] : faulted) {
+    support::FaultInjector::ScopedConfig scoped(config);
+    EXPECT_EQ(CollectDigest(eco, {}), digest) << config;
+  }
+  clair::TestbedOptions budget;
+  budget.stage_step_budget = 4;
+  EXPECT_EQ(CollectDigest(eco, budget), kStepBudgetDigest);
+}
+
+TEST(Incremental, ArmedFaultsBypassPayloadTiers) {
   const auto eco = SmallEcosystem();
   const corpus::AppSpec* spec = FindRichSpec(eco, 1, 1);
   ASSERT_NE(spec, nullptr);
   const auto files = eco.GenerateSources(*spec);
 
   support::FaultInjector::ScopedConfig scoped("dataflow:0.5,seed:7");
-  clair::TestbedOptions granular_options;
-  clair::TestbedOptions module_options;
-  module_options.cache_functions = false;
-  const clair::Testbed granular(eco, granular_options);
-  const clair::Testbed module_path(eco, module_options);
-  const auto a = granular.ExtractFeatures(files);
-  const auto b = module_path.ExtractFeatures(files);
-  // With a fault site armed the granular testbed runs the module-level path
-  // verbatim, so injection semantics (and bytes) are identical.
-  EXPECT_EQ(a.values(), b.values());
-  // The fallback really did bypass the granular tiers.
-  const auto stats = granular.incremental_stats();
-  EXPECT_EQ(stats.fn_dataflow_computed + stats.fn_dataflow_reused, 0u);
+  clair::TestbedOptions cache_off_options;
+  cache_off_options.cache_functions = false;
+  const clair::Testbed testbed(eco, {});
+  const clair::Testbed cache_off(eco, cache_off_options);
+  // Extracted twice: a faulted attempt's output must not be served back.
+  const auto a = testbed.ExtractFeatures(files);
+  EXPECT_EQ(testbed.ExtractFeatures(files).values(), a.values());
+  EXPECT_EQ(a.values(), cache_off.ExtractFeatures(files).values());
+  // With a fault site armed nothing was reused or stored.
+  EXPECT_EQ(testbed.incremental_stats().fn_dataflow_reused, 0u);
+  EXPECT_EQ(testbed.function_cache_stats().entries, 0u);
+  // And the faulted corpus keeps its pinned bytes.
+  EXPECT_EQ(CollectDigest(eco, {}), kDataflowFaultDigest);
 }
 
 // --- Checkpoint splicing across corpus versions ------------------------------
