@@ -80,11 +80,7 @@ SecurityReport SecurityEvaluator::Evaluate(
     if (prediction.predicted_risky) {
       prediction.mitigation = hypothesis.mitigation;
     }
-    auto importance = bundle->model->FeatureImportance();
-    if (importance.size() > 5) {
-      importance.resize(5);
-    }
-    prediction.contributing_features = std::move(importance);
+    prediction.contributing_features = bundle->top_features;
     const double weight = HypothesisSeverityWeight(hypothesis.id);
     weighted += weight * prediction.risk;
     weight_total += weight;

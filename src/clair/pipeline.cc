@@ -292,6 +292,10 @@ TrainedModel TrainingPipeline::TrainFinal(
           bundle.model = StandardLearners().front().factory();
         }
         bundle.model->Train(data);
+        bundle.top_features = bundle.model->FeatureImportance();
+        if (bundle.top_features.size() > 5) {
+          bundle.top_features.resize(5);
+        }
         return bundle;
       });
   TrainedModel trained;

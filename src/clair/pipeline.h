@@ -59,6 +59,10 @@ struct HypothesisModel {
   bool log1p = false;
   bool standardize = false;
   std::vector<std::string> feature_names;
+  // The model's five most important features (FeatureImportance order),
+  // computed once at training time: every SecurityEvaluator::Evaluate
+  // reports them, and a forest rebuilds its importance table per call.
+  std::vector<std::pair<std::string, double>> top_features;
 
   // Probability of the risky ("yes") class for a raw feature vector.
   double PredictRisk(const metrics::FeatureVector& features) const;

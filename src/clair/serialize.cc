@@ -99,13 +99,17 @@ support::Result<std::vector<AppRecord>> LoadRecords(std::string_view text) {
     } else if (key == "label.high_confidentiality") {
       ok = parse_int(current->labels.high_confidentiality);
     } else if (key == "label.first") {
-      int v;
+      int v = 0;
       ok = parse_int(v);
-      current->labels.first = v;
+      if (ok) {
+        current->labels.first = v;
+      }
     } else if (key == "label.last") {
-      int v;
+      int v = 0;
       ok = parse_int(v);
-      current->labels.last = v;
+      if (ok) {
+        current->labels.last = v;
+      }
     } else if (key == "label.max_score") {
       const auto parsed = support::ParseDouble(value);
       ok = parsed.has_value();

@@ -528,7 +528,9 @@ support::Result<FeatureStore> FeatureStore::Open(const std::string& path) {
               info.exact = exact != 0;
               const size_t thresholds = num_bins > 0 ? num_bins - 1 : 0;
               info.thresholds.resize(thresholds);
-              std::memcpy(info.thresholds.data(), bins.p, thresholds * 8);
+              if (thresholds > 0) {  // A one-bin feature has no thresholds.
+                std::memcpy(info.thresholds.data(), bins.p, thresholds * 8);
+              }
               bins.p += thresholds * 8;
               bins.remaining -= thresholds * 8;
             }

@@ -89,7 +89,8 @@ class ConstBitSpan {
     if (a.bits_ != b.bits_) {
       return false;
     }
-    return std::memcmp(a.words_, b.words_, a.num_words() * sizeof(uint64_t)) == 0;
+    return a.num_words() == 0 ||
+           std::memcmp(a.words_, b.words_, a.num_words() * sizeof(uint64_t)) == 0;
   }
 
  private:
@@ -117,10 +118,17 @@ class BitSpan {
   void Set(size_t i) { words_[i / 64] |= uint64_t{1} << (i % 64); }
   void Reset(size_t i) { words_[i / 64] &= ~(uint64_t{1} << (i % 64)); }
 
-  void ClearAll() { std::memset(words_, 0, num_words() * sizeof(uint64_t)); }
+  // A zero-width span may hold null words; memset/memcpy must not see them.
+  void ClearAll() {
+    if (num_words() != 0) {
+      std::memset(words_, 0, num_words() * sizeof(uint64_t));
+    }
+  }
 
   void CopyFrom(ConstBitSpan src) {
-    std::memcpy(words_, src.words(), num_words() * sizeof(uint64_t));
+    if (num_words() != 0) {
+      std::memcpy(words_, src.words(), num_words() * sizeof(uint64_t));
+    }
   }
 
   // dst |= src; returns true if dst changed.

@@ -497,21 +497,27 @@ class Explorer {
     return result;
   }
 
-  // Variables mentioned anywhere in `constraints`.
-  std::vector<int> UsedVars(const std::vector<ExprRef>& constraints) const {
-    std::vector<bool> used(static_cast<size_t>(pool_.num_vars()), false);
-    std::vector<bool> visited(pool_.size(), false);
-    std::vector<ExprRef> stack(constraints.begin(), constraints.end());
+  // Variables mentioned anywhere in `constraints`, ascending. The visited
+  // set is epoch-stamped scratch (like ConeUnion's), so a call costs the
+  // size of the constraints' DAG, not of the whole pool.
+  std::vector<int> UsedVars(const std::vector<ExprRef>& constraints) {
+    if (visit_stamp_.size() < pool_.size()) {
+      visit_stamp_.resize(pool_.size(), 0);
+    }
+    ++visit_epoch_;
+    std::vector<ExprRef>& stack = visit_stack_;
+    stack.assign(constraints.begin(), constraints.end());
+    std::vector<int> out;
     while (!stack.empty()) {
       const ExprRef ref = stack.back();
       stack.pop_back();
-      if (visited[static_cast<size_t>(ref)]) {
+      if (visit_stamp_[static_cast<size_t>(ref)] == visit_epoch_) {
         continue;
       }
-      visited[static_cast<size_t>(ref)] = true;
+      visit_stamp_[static_cast<size_t>(ref)] = visit_epoch_;
       const ExprNode& node = pool_.node(ref);
       if (node.op == ExprOp::kVar) {
-        used[static_cast<size_t>(node.var_id)] = true;
+        out.push_back(node.var_id);
       }
       for (const ExprRef child : {node.a, node.b, node.c}) {
         if (child != kNoExpr) {
@@ -519,12 +525,8 @@ class Explorer {
         }
       }
     }
-    std::vector<int> out;
-    for (size_t v = 0; v < used.size(); ++v) {
-      if (used[v]) {
-        out.push_back(static_cast<int>(v));
-      }
-    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
@@ -998,6 +1000,10 @@ class Explorer {
   std::vector<std::vector<Var>> cones_;
   std::vector<uint32_t> cone_stamp_;
   uint32_t cone_epoch_ = 0;
+  // Epoch-stamped visited set and stack reused by UsedVars.
+  std::vector<uint32_t> visit_stamp_;
+  uint32_t visit_epoch_ = 0;
+  std::vector<ExprRef> visit_stack_;
   uint64_t total_steps_ = 0;
   support::Deadline deadline_;   // Per-exploration cooperative watchdog.
   uint64_t fault_key_ = 0;       // Module×entry key for solver-query faults.

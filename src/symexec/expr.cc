@@ -484,7 +484,8 @@ int64_t ExprPool::Eval(ExprRef ref, const std::vector<int64_t>& var_values) cons
     eval_stamp_.resize(nodes_.size(), 0);
   }
   ++eval_epoch_;
-  std::vector<ExprRef> stack = {ref};
+  std::vector<ExprRef>& stack = eval_stack_;
+  stack.assign(1, ref);
   while (!stack.empty()) {
     const ExprRef cur = stack.back();
     const auto cu = static_cast<size_t>(cur);

@@ -122,6 +122,7 @@ class ExprPool {
   mutable std::vector<int64_t> eval_cache_;
   mutable std::vector<uint32_t> eval_stamp_;
   mutable uint32_t eval_epoch_ = 0;
+  mutable std::vector<ExprRef> eval_stack_;  // Reused across Eval calls.
 };
 
 }  // namespace symx

@@ -25,13 +25,21 @@ uint64_t Luby(uint64_t i) {
   }
 }
 
+// The VSIDS heap order on (activity, var) pairs: lower activity first, ties
+// broken toward the higher variable index, so the heap's maximum is unique
+// and decisions are deterministic. The sift loops keep the moving variable's
+// activity in a register instead of re-reading it per level.
+bool ActivityLess(double act_a, Var a, double act_b, Var b) {
+  return act_a < act_b || (act_a == act_b && a > b);
+}
+
 }  // namespace
 
 Var SatSolver::NewVar() {
-  const Var var = static_cast<Var>(assign_.size());
-  assign_.push_back(kUndef);
-  level_.push_back(0);
-  reason_.push_back(-1);
+  const Var var = static_cast<Var>(vardata_.size());
+  lit_value_.push_back(kUndef);
+  lit_value_.push_back(kUndef);
+  vardata_.push_back({kNoReason, 0});
   activity_.push_back(0.0);
   polarity_.push_back(true);
   seen_.push_back(false);
@@ -49,11 +57,10 @@ void SatSolver::Reset() {
   // must be restored to its constructed value here — a missed field would
   // leak state between queued explorations and break bit-identity with a
   // fresh solver.
-  clauses_.clear();
+  arena_.clear();
   watches_.clear();
-  assign_.clear();
-  level_.clear();
-  reason_.clear();
+  lit_value_.clear();
+  vardata_.clear();
   trail_.clear();
   trail_lim_.clear();
   installed_.clear();
@@ -95,40 +102,57 @@ void SatSolver::HeapBuild(VarOrderHeap& h, std::vector<Var> vars) {
 }
 
 void SatSolver::HeapSiftUp(VarOrderHeap& h, size_t i) {
-  const Var var = h.heap[i];
+  Var* heap = h.heap.data();
+  int* index = h.index.data();
+  const double* activity = activity_.data();
+  const Var var = heap[i];
+  const double var_act = activity[var];
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
-    if (!HeapLess(h.heap[parent], var)) {
+    const Var pv = heap[parent];
+    if (!ActivityLess(activity[pv], pv, var_act, var)) {
       break;
     }
-    h.heap[i] = h.heap[parent];
-    h.index[static_cast<size_t>(h.heap[i])] = static_cast<int>(i);
+    heap[i] = pv;
+    index[pv] = static_cast<int>(i);
     i = parent;
   }
-  h.heap[i] = var;
-  h.index[static_cast<size_t>(var)] = static_cast<int>(i);
+  heap[i] = var;
+  index[var] = static_cast<int>(i);
 }
 
 void SatSolver::HeapSiftDown(VarOrderHeap& h, size_t i) {
-  const Var var = h.heap[i];
+  Var* heap = h.heap.data();
+  int* index = h.index.data();
+  const double* activity = activity_.data();
   const size_t n = h.heap.size();
+  const Var var = heap[i];
+  const double var_act = activity[var];
   for (;;) {
     size_t child = 2 * i + 1;
     if (child >= n) {
       break;
     }
-    if (child + 1 < n && HeapLess(h.heap[child], h.heap[child + 1])) {
-      ++child;
+    Var cv = heap[child];
+    double child_act = activity[cv];
+    if (child + 1 < n) {
+      const Var rv = heap[child + 1];
+      const double right_act = activity[rv];
+      if (ActivityLess(child_act, cv, right_act, rv)) {
+        ++child;
+        cv = rv;
+        child_act = right_act;
+      }
     }
-    if (!HeapLess(var, h.heap[child])) {
+    if (!ActivityLess(var_act, var, child_act, cv)) {
       break;
     }
-    h.heap[i] = h.heap[child];
-    h.index[static_cast<size_t>(h.heap[i])] = static_cast<int>(i);
+    heap[i] = cv;
+    index[cv] = static_cast<int>(i);
     i = child;
   }
-  h.heap[i] = var;
-  h.index[static_cast<size_t>(var)] = static_cast<int>(i);
+  heap[i] = var;
+  index[var] = static_cast<int>(i);
 }
 
 void SatSolver::HeapInsert(VarOrderHeap& h, Var var) {
@@ -160,7 +184,7 @@ void SatSolver::AddClause(std::vector<Lit> clause) {
   installed_.clear();
   size_t keep = 0;
   for (const Lit lit : clause) {
-    const int8_t v = Value(lit);
+    const LBool v = Value(lit);
     if (v == kTrue) {
       return;  // Permanently satisfied.
     }
@@ -189,8 +213,8 @@ void SatSolver::AddClause(std::vector<Lit> clause) {
       return;
     }
     if (Value(lit) == kUndef) {
-      Enqueue(lit, -1);
-      if (Propagate() != -1) {
+      Enqueue(lit, kNoReason);
+      if (Propagate() != kNoReason) {
         trivially_unsat_ = true;
       }
     }
@@ -201,8 +225,7 @@ void SatSolver::AddClause(std::vector<Lit> clause) {
   // gate variables rather than input-variable bits shared by every other
   // constraint's cone, so unrelated queries never walk this clause's watches.
   std::reverse(clause.begin(), clause.end());
-  clauses_.push_back({std::move(clause), false});
-  AttachClause(static_cast<int>(clauses_.size() - 1));
+  AttachClause(AllocClause(clause, false));
 }
 
 void SatSolver::AddBlockingClause(std::vector<Lit> clause) {
@@ -210,8 +233,7 @@ void SatSolver::AddBlockingClause(std::vector<Lit> clause) {
   // are transient.
   size_t keep = 0;
   for (const Lit lit : clause) {
-    const Var v = LitVar(lit);
-    if (assign_[static_cast<size_t>(v)] != kUndef && level_[static_cast<size_t>(v)] == 0) {
+    if (Value(lit) != kUndef && vardata_[static_cast<size_t>(LitVar(lit))].level == 0) {
       if (Value(lit) == kTrue) {
         return;  // Permanently satisfied.
       }
@@ -233,7 +255,7 @@ void SatSolver::AddBlockingClause(std::vector<Lit> clause) {
     if (Value(lit) != kFalse) {
       continue;
     }
-    const int l = level_[static_cast<size_t>(LitVar(lit))];
+    const int l = vardata_[static_cast<size_t>(LitVar(lit))].level;
     if (l > lmax) {
       lsecond = lmax;
       lmax = l;
@@ -280,21 +302,19 @@ void SatSolver::AddBlockingClause(std::vector<Lit> clause) {
     // is valid and the next Solve discovers the (now-unsuppressed) conflict.
     Backtrack(0);
     installed_.clear();
-    clauses_.push_back({std::move(clause), false});
-    AttachClause(static_cast<int>(clauses_.size() - 1));
+    AttachClause(AllocClause(clause, false));
     return;
   }
-  clauses_.push_back({std::move(clause), false});
-  const int ci = static_cast<int>(clauses_.size() - 1);
-  AttachClause(ci);
+  const CRef cr = AllocClause(clause, false);
+  AttachClause(cr);
   if (non_false == 1) {
     // Unit under the prefix: propagate now so the next Solve resumes from a
     // fixpoint. A conflict here means the prefix is exhausted — fall back to
     // root and let the next Solve return kUnsat through its entry path.
-    const Lit unit = clauses_[static_cast<size_t>(ci)].lits[0];
+    const Lit unit = clause[0];
     if (Value(unit) == kUndef) {
-      Enqueue(unit, ci);
-      if (Propagate() != -1) {
+      Enqueue(unit, cr);
+      if (Propagate() != kNoReason) {
         Backtrack(0);
         installed_.clear();
       }
@@ -302,52 +322,90 @@ void SatSolver::AddBlockingClause(std::vector<Lit> clause) {
   }
 }
 
-void SatSolver::AttachClause(int clause_index) {
-  const auto& lits = clauses_[static_cast<size_t>(clause_index)].lits;
-  watches_[static_cast<size_t>(lits[0])].push_back({clause_index, lits[1]});
-  watches_[static_cast<size_t>(lits[1])].push_back({clause_index, lits[0]});
+SatSolver::CRef SatSolver::AllocClause(const std::vector<Lit>& lits, bool learnt) {
+  const auto cr = static_cast<CRef>(arena_.size());
+  arena_.push_back(static_cast<Lit>(lits.size() << 1 | (learnt ? 1 : 0)));
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  return cr;
 }
 
-void SatSolver::Enqueue(Lit lit, int reason) {
-  const Var var = LitVar(lit);
-  assign_[static_cast<size_t>(var)] = LitNegated(lit) ? kFalse : kTrue;
-  level_[static_cast<size_t>(var)] = static_cast<int>(trail_lim_.size());
-  reason_[static_cast<size_t>(var)] = reason;
+void SatSolver::AttachClause(CRef cr) {
+  const Lit* lits = ClauseLits(cr);
+  const int32_t tagged = cr << 1 | (ClauseSize(cr) == 2 ? 1 : 0);
+  watches_[static_cast<size_t>(lits[0])].push_back({tagged, lits[1]});
+  watches_[static_cast<size_t>(lits[1])].push_back({tagged, lits[0]});
+}
+
+void SatSolver::Enqueue(Lit lit, CRef reason) {
+  lit_value_[static_cast<size_t>(lit)] = kTrue;
+  lit_value_[static_cast<size_t>(Negate(lit))] = kFalse;
+  vardata_[static_cast<size_t>(LitVar(lit))] = {reason, static_cast<int>(trail_lim_.size())};
   trail_.push_back(lit);
 }
 
-int SatSolver::Propagate() {
+SatSolver::CRef SatSolver::Propagate() {
+  // Neither buffer grows while propagating, so the loop keeps their
+  // addresses in registers instead of reloading them after every Enqueue.
+  const LBool* const values = lit_value_.data();
+  Lit* const arena = arena_.data();
   while (propagate_head_ < trail_.size()) {
     const Lit lit = trail_[propagate_head_++];
     ++stats_propagations_;
     // Clauses watching ~lit must find a new watch or propagate/conflict.
     const Lit false_lit = Negate(lit);
     auto& watch_list = watches_[static_cast<size_t>(false_lit)];
-    size_t keep = 0;
-    for (size_t i = 0; i < watch_list.size(); ++i) {
-      const Watcher w = watch_list[i];
+    Watcher* i = watch_list.data();
+    Watcher* j = i;
+    Watcher* const end = i + watch_list.size();
+    while (i != end) {
+      const Watcher w = *i++;
       // Blocker fast path: a true blocker proves the clause satisfied
       // without loading the clause itself.
-      if (Value(w.blocker) == kTrue) {
-        watch_list[keep++] = w;
+      const LBool blocker_value = values[w.blocker];
+      if (blocker_value == kTrue) {
+        *j++ = w;
         continue;
       }
-      const int ci = w.clause;
-      auto& lits = clauses_[static_cast<size_t>(ci)].lits;
+      const CRef cr = w.cref();
+      if (w.binary()) {
+        // The blocker is the other literal: unit or conflict, decided
+        // without touching clause memory.
+        *j++ = w;
+        if (blocker_value == kFalse) {
+          // Leave the clause as [other, false_lit], the order Analyze walks
+          // a conflict clause in.
+          Lit* lits = arena + cr + 1;
+          lits[0] = w.blocker;
+          lits[1] = false_lit;
+          while (i != end) {
+            *j++ = *i++;
+          }
+          watch_list.resize(static_cast<size_t>(j - watch_list.data()));
+          propagate_head_ = trail_.size();
+          return cr;
+        }
+        Enqueue(w.blocker, cr);
+        continue;
+      }
+      Lit* lits = arena + cr + 1;
       // Normalise: watched literal in position 1.
       if (lits[0] == false_lit) {
-        std::swap(lits[0], lits[1]);
+        lits[0] = lits[1];
+        lits[1] = false_lit;
       }
-      if (Value(lits[0]) == kTrue) {
-        watch_list[keep++] = {ci, lits[0]};  // Satisfied; cache as blocker.
+      const Lit first = lits[0];
+      if (values[first] == kTrue) {
+        *j++ = {w.tagged, first};  // Satisfied; cache as blocker.
         continue;
       }
       // Look for a replacement watch.
+      const uint32_t size = static_cast<uint32_t>(arena[cr]) >> 1;
       bool found = false;
-      for (size_t k = 2; k < lits.size(); ++k) {
-        if (Value(lits[k]) != kFalse) {
-          std::swap(lits[1], lits[k]);
-          watches_[static_cast<size_t>(lits[1])].push_back({ci, lits[0]});
+      for (uint32_t k = 2; k < size; ++k) {
+        if (values[lits[k]] != kFalse) {
+          lits[1] = lits[k];
+          lits[k] = false_lit;
+          watches_[static_cast<size_t>(lits[1])].push_back({w.tagged, first});
           found = true;
           break;
         }
@@ -356,21 +414,21 @@ int SatSolver::Propagate() {
         continue;  // Watch moved; drop from this list.
       }
       // Unit or conflict.
-      watch_list[keep++] = {ci, lits[0]};
-      if (Value(lits[0]) == kFalse) {
+      *j++ = {w.tagged, first};
+      if (values[first] == kFalse) {
         // Conflict: restore remaining watches and report.
-        for (size_t j = i + 1; j < watch_list.size(); ++j) {
-          watch_list[keep++] = watch_list[j];
+        while (i != end) {
+          *j++ = *i++;
         }
-        watch_list.resize(keep);
+        watch_list.resize(static_cast<size_t>(j - watch_list.data()));
         propagate_head_ = trail_.size();
-        return ci;
+        return cr;
       }
-      Enqueue(lits[0], ci);
+      Enqueue(first, cr);
     }
-    watch_list.resize(keep);
+    watch_list.resize(static_cast<size_t>(j - watch_list.data()));
   }
-  return -1;
+  return kNoReason;
 }
 
 void SatSolver::BoostActivity(Var var) {
@@ -406,24 +464,31 @@ void SatSolver::BumpVar(Var var) {
 
 void SatSolver::DecayActivities() { activity_inc_ /= 0.95; }
 
-void SatSolver::Analyze(int conflict_clause, std::vector<Lit>& learnt, int& backtrack_level) {
+void SatSolver::Analyze(CRef conflict, std::vector<Lit>& learnt, int& backtrack_level) {
   learnt.clear();
   learnt.push_back(0);  // Placeholder for the asserting literal.
   int counter = 0;
   Lit p = -1;
   int index = static_cast<int>(trail_.size()) - 1;
   const int current_level = static_cast<int>(trail_lim_.size());
-  int ci = conflict_clause;
+  CRef cr = conflict;
   do {
-    const auto& lits = clauses_[static_cast<size_t>(ci)].lits;
-    // Skip lits[0] on iterations after the first (it is `p` itself).
-    for (size_t k = (p == -1 ? 0 : 1); k < lits.size(); ++k) {
+    const Lit* lits = ClauseLits(cr);
+    const uint32_t size = ClauseSize(cr);
+    for (uint32_t k = 0; k < size; ++k) {
       const Lit q = lits[k];
+      // Skip the implied literal itself (absent from the conflict clause).
+      // Matched by value: a long reason holds it at position 0, but Propagate
+      // never reorders a binary reason, so it may sit at either position.
+      if (q == p) {
+        continue;
+      }
       const Var v = LitVar(q);
-      if (!seen_[static_cast<size_t>(v)] && level_[static_cast<size_t>(v)] > 0) {
-        seen_[static_cast<size_t>(v)] = true;
+      const int level = vardata_[static_cast<size_t>(v)].level;
+      if (!seen_[static_cast<size_t>(v)] && level > 0) {
+        seen_[static_cast<size_t>(v)] = 1;
         BumpVar(v);
-        if (level_[static_cast<size_t>(v)] == current_level) {
+        if (level == current_level) {
           ++counter;
         } else {
           learnt.push_back(q);
@@ -435,8 +500,8 @@ void SatSolver::Analyze(int conflict_clause, std::vector<Lit>& learnt, int& back
       --index;
     }
     p = trail_[static_cast<size_t>(index)];
-    ci = reason_[static_cast<size_t>(LitVar(p))];
-    seen_[static_cast<size_t>(LitVar(p))] = false;
+    cr = vardata_[static_cast<size_t>(LitVar(p))].reason;
+    seen_[static_cast<size_t>(LitVar(p))] = 0;
     --counter;
     --index;
   } while (counter > 0);
@@ -446,17 +511,17 @@ void SatSolver::Analyze(int conflict_clause, std::vector<Lit>& learnt, int& back
   backtrack_level = 0;
   for (size_t k = 1; k < learnt.size(); ++k) {
     backtrack_level = std::max(backtrack_level,
-                               level_[static_cast<size_t>(LitVar(learnt[k]))]);
+                               vardata_[static_cast<size_t>(LitVar(learnt[k]))].level);
   }
   // Move a literal of backtrack_level into position 1 for watching.
   for (size_t k = 1; k < learnt.size(); ++k) {
-    if (level_[static_cast<size_t>(LitVar(learnt[k]))] == backtrack_level) {
+    if (vardata_[static_cast<size_t>(LitVar(learnt[k]))].level == backtrack_level) {
       std::swap(learnt[1], learnt[k]);
       break;
     }
   }
   for (const Lit q : learnt) {
-    seen_[static_cast<size_t>(LitVar(q))] = false;
+    seen_[static_cast<size_t>(LitVar(q))] = 0;
   }
 }
 
@@ -466,9 +531,11 @@ void SatSolver::Backtrack(int target_level) {
   }
   const size_t bound = static_cast<size_t>(trail_lim_[static_cast<size_t>(target_level)]);
   for (size_t i = trail_.size(); i-- > bound;) {
-    const Var var = LitVar(trail_[i]);
-    assign_[static_cast<size_t>(var)] = kUndef;
-    reason_[static_cast<size_t>(var)] = -1;
+    const Lit lit = trail_[i];
+    const Var var = LitVar(lit);
+    lit_value_[static_cast<size_t>(lit)] = kUndef;
+    lit_value_[static_cast<size_t>(Negate(lit))] = kUndef;
+    vardata_[static_cast<size_t>(var)].reason = kNoReason;
     // Back into the ACTIVE decision pool only; no heap is maintained outside
     // a Solve call (each call heapifies its candidate set on entry).
     if (restricted_) {
@@ -491,7 +558,7 @@ Lit SatSolver::PickBranchLit() {
   VarOrderHeap& heap = restricted_ ? query_order_ : order_;
   while (!heap.heap.empty()) {
     const Var best = HeapPopMax(heap);
-    if (assign_[static_cast<size_t>(best)] != kUndef) {
+    if (Value(MakeLit(best, false)) != kUndef) {
       continue;
     }
     // Positive-first polarity by default: callers upstream (the symbolic
@@ -506,61 +573,69 @@ Lit SatSolver::PickBranchLit() {
 void SatSolver::ReduceLearnedDb() {
   // Must be at root level with propagation at fixpoint.
   size_t long_total = 0;
-  for (const auto& c : clauses_) {
-    if (c.learnt && c.lits.size() > 3) {
+  for (CRef cr = 0; static_cast<size_t>(cr) < arena_.size(); cr += 1 + ClauseSize(cr)) {
+    if (ClauseLearnt(cr) && ClauseSize(cr) > 3) {
       ++long_total;
     }
   }
   const size_t drop_budget = long_total / 2;
   size_t long_seen = 0;
-  std::vector<Clause> kept;
-  kept.reserve(clauses_.size() - drop_budget);
+  // Survivors are compacted into a fresh arena in arena order, so the
+  // re-attach below rebuilds every watch list in clause-creation order.
+  std::vector<Lit> kept;
+  kept.reserve(arena_.size());
   num_learnt_ = 0;
   std::vector<Lit> units;
-  for (auto& c : clauses_) {
-    if (c.learnt && c.lits.size() > 3 && ++long_seen <= drop_budget) {
+  for (CRef cr = 0; static_cast<size_t>(cr) < arena_.size(); cr += 1 + ClauseSize(cr)) {
+    const uint32_t size = ClauseSize(cr);
+    const bool learnt = ClauseLearnt(cr);
+    if (learnt && size > 3 && ++long_seen <= drop_budget) {
       continue;  // Oldest long learned clauses go first.
     }
     // Root simplification: drop permanently satisfied clauses, strip
     // permanently false literals.
+    const size_t header = kept.size();
+    kept.push_back(0);
     bool satisfied = false;
-    size_t keep = 0;
-    for (const Lit lit : c.lits) {
-      const int8_t v = Value(lit);
+    const Lit* lits = ClauseLits(cr);
+    for (uint32_t k = 0; k < size; ++k) {
+      const LBool v = Value(lits[k]);
       if (v == kTrue) {
         satisfied = true;
         break;
       }
       if (v == kUndef) {
-        c.lits[keep++] = lit;
+        kept.push_back(lits[k]);
       }
     }
+    const size_t keep = kept.size() - header - 1;
     if (satisfied) {
+      kept.resize(header);
       continue;
     }
-    c.lits.resize(keep);
     if (keep == 0) {
       trivially_unsat_ = true;
       return;
     }
     if (keep == 1) {
-      units.push_back(c.lits[0]);
+      units.push_back(kept.back());
+      kept.resize(header);
       continue;
     }
-    num_learnt_ += c.learnt ? 1 : 0;
-    kept.push_back(std::move(c));
+    kept[header] = static_cast<Lit>(keep << 1 | (learnt ? 1 : 0));
+    num_learnt_ += learnt ? 1 : 0;
   }
-  clauses_ = std::move(kept);
+  arena_.swap(kept);
   for (auto& watch_list : watches_) {
     watch_list.clear();
   }
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    AttachClause(static_cast<int>(i));
+  for (CRef cr = 0; static_cast<size_t>(cr) < arena_.size(); cr += 1 + ClauseSize(cr)) {
+    AttachClause(cr);
   }
-  // Old clause indices are gone; root-level facts need no reasons (Analyze
-  // never dereferences level-0 reasons).
+  // Old clause references are gone; root-level facts need no reasons
+  // (Analyze never dereferences level-0 reasons).
   for (const Lit lit : trail_) {
-    reason_[static_cast<size_t>(LitVar(lit))] = -1;
+    vardata_[static_cast<size_t>(LitVar(lit))].reason = kNoReason;
   }
   for (const Lit lit : units) {
     if (Value(lit) == kFalse) {
@@ -568,10 +643,10 @@ void SatSolver::ReduceLearnedDb() {
       return;
     }
     if (Value(lit) == kUndef) {
-      Enqueue(lit, -1);
+      Enqueue(lit, kNoReason);
     }
   }
-  if (Propagate() != -1) {
+  if (Propagate() != kNoReason) {
     trivially_unsat_ = true;
   }
 }
@@ -584,7 +659,7 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
   if (num_learnt_ > learnt_limit_) {
     Backtrack(0);
     installed_.clear();
-    if (Propagate() != -1) {
+    if (Propagate() != kNoReason) {
       trivially_unsat_ = true;
       return SatResult::kUnsat;
     }
@@ -613,7 +688,7 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
     Backtrack(static_cast<int>(lcp));
     installed_.resize(lcp);
   }
-  if (Propagate() != -1) {
+  if (Propagate() != kNoReason) {
     if (trail_lim_.empty()) {
       trivially_unsat_ = true;
       return SatResult::kUnsat;
@@ -636,8 +711,8 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
     trail_lim_.push_back(static_cast<int>(trail_.size()));
     installed_.push_back(a);
     if (Value(a) == kUndef) {
-      Enqueue(a, -1);
-      if (Propagate() != -1) {
+      Enqueue(a, kNoReason);
+      if (Propagate() != kNoReason) {
         Backtrack(0);
         installed_.clear();
         return SatResult::kUnsat;
@@ -657,16 +732,16 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
     candidates.reserve(decision_vars->size());
     for (const Var v : *decision_vars) {
       decision_stamp_[static_cast<size_t>(v)] = decision_epoch_;
-      if (assign_[static_cast<size_t>(v)] == kUndef) {
+      if (Value(MakeLit(v, false)) == kUndef) {
         candidates.push_back(v);
       }
     }
     HeapBuild(query_order_, std::move(candidates));
   } else {
     std::vector<Var> candidates;
-    candidates.reserve(assign_.size());
+    candidates.reserve(vardata_.size());
     for (Var v = 0; v < num_vars(); ++v) {
-      if (assign_[static_cast<size_t>(v)] == kUndef) {
+      if (Value(MakeLit(v, false)) == kUndef) {
         candidates.push_back(v);
       }
     }
@@ -679,8 +754,8 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
   uint64_t restart_budget = 32 * Luby(restart_count);
   std::vector<Lit> learnt;
   for (;;) {
-    const int conflict = Propagate();
-    if (conflict != -1) {
+    const CRef conflict = Propagate();
+    if (conflict != kNoReason) {
       ++stats_conflicts_;
       ++conflicts_local;
       if (static_cast<int>(trail_lim_.size()) <= assumption_level) {
@@ -702,12 +777,12 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
       backtrack_level = std::max(backtrack_level, assumption_level);
       Backtrack(backtrack_level);
       if (learnt.size() == 1) {
-        Enqueue(learnt[0], -1);
+        Enqueue(learnt[0], kNoReason);
       } else {
-        clauses_.push_back({learnt, true});
+        const CRef cr = AllocClause(learnt, true);
         ++num_learnt_;
-        AttachClause(static_cast<int>(clauses_.size() - 1));
-        Enqueue(learnt[0], static_cast<int>(clauses_.size() - 1));
+        AttachClause(cr);
+        Enqueue(learnt[0], cr);
       }
       DecayActivities();
       if (conflicts_local >= restart_budget) {
@@ -731,12 +806,12 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
           model_.resize(static_cast<size_t>(num_vars()), false);
         }
         for (const Var v : *decision_vars) {
-          model_[static_cast<size_t>(v)] = assign_[static_cast<size_t>(v)] == kTrue;
+          model_[static_cast<size_t>(v)] = Value(MakeLit(v, false)) == kTrue;
         }
       } else {
         model_.assign(static_cast<size_t>(num_vars()), false);
         for (Var v = 0; v < num_vars(); ++v) {
-          model_[static_cast<size_t>(v)] = assign_[static_cast<size_t>(v)] == kTrue;
+          model_[static_cast<size_t>(v)] = Value(MakeLit(v, false)) == kTrue;
         }
       }
       solving_ = false;
@@ -745,7 +820,7 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions, uint64_t max_con
     }
     ++stats_decisions_;
     trail_lim_.push_back(static_cast<int>(trail_.size()));
-    Enqueue(branch, -1);
+    Enqueue(branch, kNoReason);
   }
 }
 

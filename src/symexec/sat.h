@@ -1,5 +1,7 @@
 // A compact CDCL SAT solver (watched literals, 1-UIP learning, VSIDS-style
-// activities, Luby restarts). Sized for the path-condition queries the
+// activities, Luby restarts) with MiniSat's storage layout: one flat clause
+// arena, binary clauses resolved inline from their watchers, and a
+// per-literal value table. Sized for the path-condition queries the
 // symbolic executor generates — thousands of variables, not millions.
 //
 // The solver is incremental: variables and clauses may be added after a
@@ -34,7 +36,7 @@ class SatSolver {
 
   // Returns the new variable's index.
   Var NewVar();
-  int num_vars() const { return static_cast<int>(assign_.size()); }
+  int num_vars() const { return static_cast<int>(vardata_.size()); }
 
   // Adds a clause (empty clause makes the instance trivially UNSAT).
   void AddClause(std::vector<Lit> clause);
@@ -103,33 +105,45 @@ class SatSolver {
   void Reset();
 
  private:
-  enum : int8_t { kUndef = 0, kTrue = 1, kFalse = -1 };
+  // A named (non-character) value type: stores to the value table cannot
+  // alias other objects, so the compiler keeps the hot loops' pointers in
+  // registers across Enqueue.
+  enum LBool : int8_t { kUndef = 0, kTrue = 1, kFalse = -1 };
 
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learnt = false;
-  };
+  // Clause reference: the offset of the clause's header word in arena_.
+  using CRef = int32_t;
+  static constexpr CRef kNoReason = -1;
 
-  int8_t Value(Lit lit) const {
-    const int8_t v = assign_[static_cast<size_t>(LitVar(lit))];
-    return LitNegated(lit) ? static_cast<int8_t>(-v) : v;
+  // Clause arena (MiniSat layout): every clause is a header word
+  // `size << 1 | learnt` followed by its `size` literals, packed back to back
+  // in creation order, so a watch visit that must read its clause costs one
+  // dependent load.
+  uint32_t ClauseSize(CRef cr) const {
+    return static_cast<uint32_t>(arena_[static_cast<size_t>(cr)]) >> 1;
   }
+  bool ClauseLearnt(CRef cr) const { return (arena_[static_cast<size_t>(cr)] & 1) != 0; }
+  Lit* ClauseLits(CRef cr) { return arena_.data() + cr + 1; }
+  // Appends a clause and returns its reference.
+  CRef AllocClause(const std::vector<Lit>& lits, bool learnt);
 
-  void Enqueue(Lit lit, int reason);
-  // Returns the index of a conflicting clause or -1.
-  int Propagate();
+  LBool Value(Lit lit) const { return lit_value_[static_cast<size_t>(lit)]; }
+
+  void Enqueue(Lit lit, CRef reason);
+  // Returns the conflicting clause or kNoReason.
+  CRef Propagate();
   // Root-level learned-clause garbage collection: drops the oldest half of
   // the long learned clauses (binary/ternary ones are kept — they encode
-  // cheap, strong facts), root-simplifies what remains, and rebuilds the
-  // watch lists. Keeps propagation cost bounded across the tens of thousands
-  // of queries one incremental exploration issues.
+  // cheap, strong facts), root-simplifies what remains into a compacted
+  // arena (same clause order), and rebuilds the watch lists. Keeps
+  // propagation cost bounded across the tens of thousands of queries one
+  // incremental exploration issues.
   void ReduceLearnedDb();
-  void Analyze(int conflict_clause, std::vector<Lit>& learnt, int& backtrack_level);
+  void Analyze(CRef conflict, std::vector<Lit>& learnt, int& backtrack_level);
   void Backtrack(int level);
   Lit PickBranchLit();
   void BumpVar(Var var);
   void DecayActivities();
-  void AttachClause(int clause_index);
+  void AttachClause(CRef cr);
 
   // VSIDS order heap (binary max-heap over activity, ties broken toward the
   // lower variable index so decisions are deterministic). Keeps PickBranchLit
@@ -141,11 +155,6 @@ class SatSolver {
     std::vector<Var> heap;
     std::vector<int> index;  // Position of each var in `heap`, or -1.
   };
-  bool HeapLess(Var a, Var b) const {
-    return activity_[static_cast<size_t>(a)] < activity_[static_cast<size_t>(b)] ||
-           (activity_[static_cast<size_t>(a)] == activity_[static_cast<size_t>(b)] &&
-            a > b);
-  }
   // Replaces `h`'s contents with `vars` and heapifies bottom-up (O(n)). Each
   // Solve call builds its active heap this way instead of maintaining both
   // heaps eagerly across calls — heap churn outside the active query was the
@@ -161,16 +170,28 @@ class SatSolver {
   // satisfied and Propagate skips it without touching the clause memory —
   // most of the persistent instance's clauses are satisfied or irrelevant in
   // any given query, so this avoids the dominant cache-miss traffic.
+  // Binary clauses are tagged: their blocker is always the other literal, so
+  // the blocker's value alone decides satisfied, unit or conflict.
   struct Watcher {
-    int clause;
+    int32_t tagged;  // CRef << 1 | binary.
     Lit blocker;
+    CRef cref() const { return tagged >> 1; }
+    bool binary() const { return (tagged & 1) != 0; }
   };
 
-  std::vector<Clause> clauses_;
+  // Per-variable search bookkeeping, packed so Enqueue and Analyze touch one
+  // cache line per variable.
+  struct VarData {
+    CRef reason;  // kNoReason for decisions, assumptions and root units.
+    int level;
+  };
+
+  std::vector<Lit> arena_;
   std::vector<std::vector<Watcher>> watches_;  // Indexed by watched literal.
-  std::vector<int8_t> assign_;
-  std::vector<int> level_;
-  std::vector<int> reason_;  // Clause index or -1 for decisions/assumptions.
+  // Value of every literal (both polarities kept in step by Enqueue and
+  // Backtrack), so Value() is one load with no negation.
+  std::vector<LBool> lit_value_;
+  std::vector<VarData> vardata_;
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   // Assumptions currently installed as decision levels 1..installed_.size()
@@ -192,7 +213,7 @@ class SatSolver {
   double activity_inc_ = 1.0;
   double max_activity_ = 0.0;  // Running maximum of activity_ (post-rescale).
   std::vector<bool> model_;
-  std::vector<bool> seen_;  // Scratch for Analyze.
+  std::vector<uint8_t> seen_;  // Scratch for Analyze.
   bool trivially_unsat_ = false;
   size_t num_learnt_ = 0;
   size_t learnt_limit_ = 2048;  // Grows 1.5x after each reduction.

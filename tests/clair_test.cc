@@ -3,6 +3,8 @@
 // developer-facing evaluator (version deltas, library ranking).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/clair/evaluator.h"
 #include "src/clair/feature_cache.h"
 #include "src/clair/hypothesis.h"
@@ -173,6 +175,21 @@ TEST_F(ClairTest, EvaluatorComparesVersionsAndRanksLibraries) {
   const VersionDelta delta = evaluator.CompareVersions(safe_files, unsafe_files);
   EXPECT_NEAR(delta.risk_delta,
               unsafe_report.overall_risk - safe_report.overall_risk, 1e-12);
+  // Contributing features are the top five of the model's live importance
+  // (empty for learners without one, such as k-NN).
+  size_t with_importance = 0;
+  for (const SecurityReport* report : {&safe_report, &unsafe_report}) {
+    ASSERT_EQ(report->predictions.size(), model.models().size());
+    for (const auto& prediction : report->predictions) {
+      const HypothesisModel* bundle = model.ForHypothesis(prediction.hypothesis_id);
+      ASSERT_NE(bundle, nullptr);
+      auto importance = bundle->model->FeatureImportance();
+      importance.resize(std::min<size_t>(importance.size(), 5));
+      with_importance += importance.empty() ? 0 : 1;
+      EXPECT_EQ(prediction.contributing_features, importance) << prediction.hypothesis_id;
+    }
+  }
+  EXPECT_GT(with_importance, 0u);
   EXPECT_EQ(delta.by_hypothesis.size(), StandardHypotheses().size());
   EXPECT_FALSE(delta.ToString().empty());
 }
@@ -463,6 +480,35 @@ TEST(ClairStats, CorpusStatsMedians) {
   const CorpusStats stats = ComputeCorpusStats({a, b});
   EXPECT_DOUBLE_EQ(stats.median_total_vulns, 20.0);
   EXPECT_DOUBLE_EQ(stats.median_vulns_per_year, 3.5);  // (1 + 6) / 2.
+}
+
+TEST(ClairSerialize, MalformedLabelDayIsAParseError) {
+  AppRecord record;
+  record.name = "app0";
+  record.labels.app = "app0";
+  record.labels.total = 3;
+  record.labels.first = 120;
+  record.labels.last = 2400;
+  record.labels.max_score = 7.5;
+  record.features.Set("loc.total", 42.0);
+  const std::string text = SaveRecords({record});
+  const auto loaded = LoadRecords(text);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.value().size(), 1u);
+  EXPECT_EQ(loaded.value()[0].labels.first, 120);
+  EXPECT_EQ(loaded.value()[0].labels.last, 2400);
+  EXPECT_EQ(SaveRecords(loaded.value()), text);
+
+  for (const std::string key : {"label.first=", "label.last="}) {
+    for (const std::string bad : {"", "x9", "12z"}) {
+      std::string broken = text;
+      const size_t at = broken.find(key);
+      ASSERT_NE(at, std::string::npos);
+      const size_t end = broken.find('\n', at);
+      broken.replace(at, end - at, key + bad);
+      EXPECT_FALSE(LoadRecords(broken).ok()) << key << bad;
+    }
+  }
 }
 
 TEST(ClairHypotheses, LookupAndMitigations) {

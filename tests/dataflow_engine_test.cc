@@ -77,6 +77,26 @@ TEST(BitSet, AssignTransferComputesBaseMinusKillPlusGen) {
   EXPECT_FALSE(out.Span().AssignTransfer(base.Span(), kill.Span(), gen.Span()));
 }
 
+TEST(BitSet, EmptySpanOperationsTouchNoMemory) {
+  // Zero-width rows (a function with no registers or defs) carry null words.
+  support::BitSpan empty;
+  const support::ConstBitSpan const_empty;
+  empty.ClearAll();
+  empty.CopyFrom(const_empty);
+  EXPECT_FALSE(empty.UnionWith(const_empty));
+  EXPECT_FALSE(empty.AssignFrom(const_empty));
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_TRUE(empty.None());
+  EXPECT_TRUE(support::ConstBitSpan(empty) == const_empty);
+  support::BitSet owned(0);
+  owned.ClearAll();
+  EXPECT_TRUE(owned == support::BitSet());
+  support::BitMatrix matrix(2, 0);
+  matrix.Row(0).ClearAll();
+  matrix.Row(1).CopyFrom(matrix.Row(0));
+  EXPECT_TRUE(matrix.Row(0).None());
+}
+
 TEST(BitMatrix, RowsAreIndependent) {
   support::BitMatrix matrix(3, 130);
   matrix.Row(1).Set(129);

@@ -253,6 +253,35 @@ TEST(FeatureStoreCodes, CodesAndThresholdsMatchInMemoryBinnedView) {
   }
 }
 
+TEST(FeatureStoreCodes, OneBinColumnRoundTripsWithNoThresholds) {
+  // A constant column bins to a single bin, so its bin-directory entry
+  // carries no thresholds at all.
+  const std::string path = TempPath("one_bin.clfs");
+  SyntheticRows data = MakeRows(80, 9);
+  for (auto& row : data.rows) {
+    row[2] = 5.0;
+  }
+  ml::FeatureStoreOptions options;
+  options.chunk_rows = 32;
+  WriteStore(path, data, options);
+  auto store = ml::FeatureStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  const ml::FeatureStore& s = store.value();
+  ASSERT_TRUE(s.has_codes());
+  ASSERT_EQ(s.num_bins(2), 1u);
+  EXPECT_TRUE(s.thresholds(2).empty());
+  for (size_t c = 0; c < s.num_chunks(); ++c) {
+    const auto chunk = s.chunk(c);
+    const auto codes = chunk.Codes(2);
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      EXPECT_EQ(codes[r], 0);
+    }
+  }
+  const auto view = MakeDataset(data).Binned(options.max_bins);
+  EXPECT_EQ(view->column(2).num_bins, 1u);
+  EXPECT_EQ(s.num_bins(0), view->column(0).num_bins);
+}
+
 // --- Corruption tolerance ---------------------------------------------------
 
 // Flips one byte inside the given file offset range.

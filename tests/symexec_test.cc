@@ -3,6 +3,9 @@
 // against concrete expression evaluation.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/clair/testbed.h"
 #include "src/corpus/codegen.h"
 #include "src/lang/interp.h"
 #include "src/lang/parser.h"
@@ -555,6 +558,147 @@ TEST(Sat, IncrementalSolvesMatchFreshOracle) {
           }
         }
       }
+    }
+  }
+}
+
+// --- Search identity ----------------------------------------------------------
+//
+// The solver's storage layout (clause arena, inline binary watches, literal
+// value table) must not change the search: the same decisions, propagations,
+// conflicts, learned clauses and models. These pins were recorded on the
+// pre-arena solver (one heap-allocated literal vector per clause); any change
+// to trail order, conflict-clause literal order or learned-literal order
+// shows up in the counters or the model digest.
+
+uint64_t MixDigest(uint64_t digest, uint64_t value) {
+  return (digest ^ value) * 1099511628211ULL;
+}
+
+struct SatPin {
+  uint64_t conflicts = 0;
+  uint64_t decisions = 0;
+  uint64_t propagations = 0;
+  uint64_t models = 0;  // kSat results.
+  uint64_t model_digest = 14695981039346656037ULL;
+};
+
+// A seeded incremental stream over random 2..4-literal CNF: assumption
+// queries that keep and extend a shared prefix, clauses added between
+// solves, restricted queries, model enumeration through AddBlockingClause,
+// and a Reset() between two sessions. Each session learns well past the
+// solver's 2048-clause reduction threshold, so ReduceLearnedDb runs.
+SatPin RunPinnedSatStream() {
+  support::Rng rng(0x5A7C0DE);
+  SatPin pin;
+  SatSolver solver;
+  for (int session = 0; session < 2; ++session) {
+    solver.Reset();
+    constexpr int kVars = 150;
+    std::vector<Var> vars;
+    for (int v = 0; v < kVars; ++v) {
+      vars.push_back(solver.NewVar());
+    }
+    const auto random_clause = [&] {
+      std::vector<Lit> clause;
+      const uint64_t shape = rng.NextBelow(20);
+      const int len = shape == 0 ? 2 : shape < 17 ? 3 : 4;
+      for (int k = 0; k < len; ++k) {
+        clause.push_back(MakeLit(static_cast<Var>(rng.NextBelow(kVars)), rng.NextBool()));
+      }
+      return clause;
+    };
+    for (int c = 0; c < 4 * kVars; ++c) {
+      solver.AddClause(random_clause());
+    }
+    std::vector<Lit> prefix;
+    for (int round = 0; round < 400; ++round) {
+      // Keep a random-length prefix of the previous assumptions, then extend.
+      prefix.resize(static_cast<size_t>(rng.NextBelow(prefix.size() + 1)));
+      const int extend = static_cast<int>(rng.NextBelow(4));
+      for (int k = 0; k < extend && prefix.size() < 12; ++k) {
+        prefix.push_back(MakeLit(static_cast<Var>(rng.NextBelow(kVars)), rng.NextBool()));
+      }
+      const bool restricted = rng.NextBelow(3) == 0;
+      SatResult result = solver.Solve(prefix, 0, restricted ? &vars : nullptr);
+      pin.model_digest = MixDigest(pin.model_digest, static_cast<uint64_t>(result));
+      for (int model = 0; result == SatResult::kSat && model < 3; ++model) {
+        ++pin.models;
+        std::vector<Lit> blocking;
+        for (const Var v : vars) {
+          pin.model_digest = MixDigest(pin.model_digest, solver.ModelValue(v) ? 1 : 0);
+          if (v % 8 == 0) {
+            blocking.push_back(MakeLit(v, solver.ModelValue(v)));
+          }
+        }
+        solver.AddBlockingClause(std::move(blocking));
+        result = solver.Solve(prefix, 0, restricted ? &vars : nullptr);
+        pin.model_digest = MixDigest(pin.model_digest, static_cast<uint64_t>(result));
+      }
+      if (round % 5 == 4) {
+        solver.AddClause(random_clause());
+      }
+    }
+    pin.conflicts += solver.conflicts();
+    pin.decisions += solver.decisions();
+    pin.propagations += solver.propagations();
+  }
+  return pin;
+}
+
+TEST(Sat, IncrementalSearchIsPinned) {
+  const SatPin pin = RunPinnedSatStream();
+  EXPECT_EQ(pin.models, 546u);
+  EXPECT_EQ(pin.conflicts, 13256u);
+  EXPECT_EQ(pin.decisions, 27362u);
+  EXPECT_EQ(pin.propagations, 477070u);
+  EXPECT_EQ(pin.model_digest, 0x05c9a9fa55dee047ULL);
+}
+
+TEST(Executor, GeneratedExplorationsArePinned) {
+  // Generated modules explored at the testbed's production budgets, in both
+  // solver modes: paths, solver queries, CDCL conflicts and the bits of every
+  // exploit fraction.
+  struct Pin {
+    bool incremental;
+    uint64_t paths;
+    uint64_t solver_queries;
+    uint64_t sat_conflicts;
+    uint64_t fraction_digest;
+  };
+  const Pin pins[4][2] = {
+      {{true, 44, 264, 179, 0x19fd12186c0f2fb7ULL}, {false, 44, 264, 180, 0x19fd12186c0f2fb7ULL}},
+      {{true, 48, 264, 117, 0xa6b28807b4eb6fedULL}, {false, 48, 264, 141, 0xa6b28807b4eb6fedULL}},
+      {{true, 20, 212, 77, 0xc293bd4c8601b7dfULL}, {false, 20, 212, 77, 0xc293bd4c8601b7dfULL}},
+      {{true, 41, 69, 177, 0x642512186c0f2fb7ULL}, {false, 41, 69, 922, 0x642512186c0f2fb7ULL}},
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    support::Rng rng(seed * 7919);
+    corpus::AppStyle style;
+    style.complexity = 0.6;
+    style.unsafety = 0.8;
+    style.taintiness = 0.5;
+    const std::string source = corpus::GenerateMiniCFile(rng, style, 160);
+    const auto module = MustLower(source);
+    const metrics::CallGraph graph(module);
+    const auto roots = graph.Roots();
+    ASSERT_FALSE(roots.empty());
+    SymExecOptions options = clair::TestbedOptions::TightSymexecDefaults();
+    for (const Pin& pin : pins[seed - 1]) {
+      options.incremental_solver = pin.incremental;
+      const SymExecResult result = Explore(module, roots.front(), options);
+      uint64_t digest = 14695981039346656037ULL;
+      for (const auto& vuln : result.vulns) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &vuln.exploit_fraction, sizeof(bits));
+        digest = MixDigest(digest, bits);
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + (pin.incremental ? " incremental" : " one-shot");
+      EXPECT_EQ(result.paths_explored, pin.paths) << where;
+      EXPECT_EQ(result.solver_queries, pin.solver_queries) << where;
+      EXPECT_EQ(result.sat_conflicts, pin.sat_conflicts) << where;
+      EXPECT_EQ(digest, pin.fraction_digest) << where;
     }
   }
 }
