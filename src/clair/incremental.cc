@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "src/lang/frontend.h"
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
 
@@ -52,21 +53,17 @@ uint64_t TokenHashOfText(const std::string& text) {
   return hash;
 }
 
-FileFunctionIndex IndexFunctions(const metrics::SourceFile& file) {
+namespace {
+
+// The index of `file` from its tokens and their parse; either is null when
+// that stage failed, and the file is then one opaque unit.
+FileFunctionIndex IndexFromTokens(const metrics::SourceFile& file,
+                                  const std::vector<lang::Token>* tokens,
+                                  const lang::TranslationUnit* unit) {
   FileFunctionIndex index;
   index.path = file.path;
-  if (file.language != metrics::Language::kMiniC) {
+  if (tokens == nullptr || unit == nullptr) {
     // Opaque content: text digest only, so the planner still sees change.
-    index.file_token_hash = Fnv1a64(file.text);
-    return index;
-  }
-  const auto lexed = lang::Lex(file.text);
-  if (!lexed.ok()) {
-    index.file_token_hash = Fnv1a64(file.text);
-    return index;
-  }
-  auto unit = lang::Parse(file.text);
-  if (!unit.ok()) {
     index.file_token_hash = Fnv1a64(file.text);
     return index;
   }
@@ -74,7 +71,7 @@ FileFunctionIndex IndexFunctions(const metrics::SourceFile& file) {
 
   // Function spans in declaration order (the parser emits them sorted by
   // line; functions never share a line in MiniC).
-  for (const auto& fn : unit.value().functions) {
+  for (const auto& fn : unit->functions) {
     FunctionFingerprint fp;
     fp.name = fn.name;
     fp.line = fn.line;
@@ -86,7 +83,7 @@ FileFunctionIndex IndexFunctions(const metrics::SourceFile& file) {
   uint64_t file_hash = kFunctionHashSeed;
   uint64_t preamble = kFunctionHashSeed;
   size_t current = 0;  // Function whose span we may be inside.
-  for (const auto& token : lexed.value().tokens) {
+  for (const auto& token : *tokens) {
     if (token.kind == lang::TokenKind::kEof) {
       break;
     }
@@ -108,6 +105,21 @@ FileFunctionIndex IndexFunctions(const metrics::SourceFile& file) {
   index.file_token_hash = file_hash;
   index.preamble_hash = preamble;
   return index;
+}
+
+}  // namespace
+
+FileFunctionIndex IndexFunctions(const metrics::SourceFile& file) {
+  if (file.language != metrics::Language::kMiniC) {
+    return IndexFromTokens(file, nullptr, nullptr);
+  }
+  const auto lexed = lang::Lex(file.text);
+  if (!lexed.ok()) {
+    return IndexFromTokens(file, nullptr, nullptr);
+  }
+  const auto& tokens = lexed.value().tokens;
+  const auto unit = lang::ParseTokens(file.text, tokens);
+  return IndexFromTokens(file, &tokens, unit.ok() ? &unit.value() : nullptr);
 }
 
 DiffPlan PlanFunctionDiff(const std::vector<FileFunctionIndex>& old_version,
@@ -212,7 +224,8 @@ DiffPlan PlanFunctionDiff(const std::vector<metrics::SourceFile>& old_files,
   return PlanFunctionDiff(old_index, new_index);
 }
 
-std::shared_ptr<const ParsedFile> AstCache::Get(const metrics::SourceFile& file) const {
+std::shared_ptr<const ParsedFile> AstCache::Get(
+    const metrics::SourceFile& file, std::optional<metrics::FeatureVector>* row) const {
   uint64_t key = Fnv1a64(file.path);
   key = (key ^ static_cast<uint64_t>(file.language)) * 0x100000001b3ULL;
   key = Fnv1a64(file.text, key);
@@ -226,17 +239,20 @@ std::shared_ptr<const ParsedFile> AstCache::Get(const metrics::SourceFile& file)
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto parsed = std::make_shared<ParsedFile>();
-  parsed->index = IndexFunctions(file);
   if (file.language == metrics::Language::kMiniC) {
-    auto unit = lang::Parse(file.text);
-    if (unit.ok()) {
-      auto owned = std::make_shared<lang::TranslationUnit>(std::move(unit).value());
-      parsed->unit = owned;
-      auto module = lang::LowerToIr(*owned);
-      if (module.ok()) {
-        parsed->module =
-            std::make_shared<const lang::IrModule>(std::move(module).value());
-      }
+    // One front-end pass feeds every product; its tokens die here.
+    const lang::FrontEnd front = lang::RunFrontEnd(file.text);
+    parsed->index = IndexFromTokens(
+        file, front.lexed.has_value() ? &front.lexed->tokens : nullptr, front.unit.get());
+    if (row != nullptr) {
+      row->emplace(metrics::FileFeaturesFromFrontEnd(file, front));
+    }
+    parsed->unit = front.unit;
+    parsed->module = front.module;
+  } else {
+    parsed->index = IndexFunctions(file);
+    if (row != nullptr) {
+      row->emplace(metrics::ExtractFileFeatures(file));
     }
   }
   std::shared_ptr<const ParsedFile> shared = std::move(parsed);

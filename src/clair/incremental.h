@@ -25,6 +25,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -101,8 +102,9 @@ DiffPlan PlanFunctionDiff(const std::vector<FileFunctionIndex>& old_version,
 DiffPlan PlanFunctionDiff(const std::vector<metrics::SourceFile>& old_files,
                           const std::vector<metrics::SourceFile>& new_files);
 
-// Immutable parse artifacts for one file text, shared between the stage
-// walk, the function-granular caches, and the function-rank extractor.
+// Immutable front-end artifacts for one file text, shared between the stage
+// walk and the function-granular caches. All of them come from one lex, one
+// parse and one lowering (lang::RunFrontEnd); the tokens are not kept.
 struct ParsedFile {
   std::shared_ptr<const lang::TranslationUnit> unit;
   std::shared_ptr<const lang::IrModule> module;  // Null if lowering failed.
@@ -119,8 +121,12 @@ class AstCache {
   // Returns the cached artifacts for `file`, parsing (and caching) on miss.
   // The returned ParsedFile's unit/module may be null when the file does not
   // parse or lower — negative results are cached too, so a warm re-score of
-  // a broken file never re-parses it.
-  std::shared_ptr<const ParsedFile> Get(const metrics::SourceFile& file) const;
+  // a broken file never re-parses it. When `row` is non-null and the call
+  // misses, the file's metrics::ExtractFileFeatures row is derived from the
+  // same front-end pass and stored in `*row`; a hit leaves `*row` alone.
+  std::shared_ptr<const ParsedFile> Get(
+      const metrics::SourceFile& file,
+      std::optional<metrics::FeatureVector>* row = nullptr) const;
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }

@@ -330,19 +330,43 @@ metrics::FeatureVector Testbed::ExtractFeatures(
   // either way; without reuse nothing is looked up or stored.
   const bool reuse =
       options_.cache_functions && support::FaultInjector::Global().Fingerprint() == 0;
+  const bool deep =
+      options_.with_dataflow || options_.with_symexec || options_.with_dynamic;
+  // With reuse, each deep candidate (see the budget below) reads the AST
+  // cache here, in the order the deep walk would, so a missing file row and
+  // the deep stages share one front-end pass.
+  std::vector<std::shared_ptr<const ParsedFile>> deep_parsed;
   metrics::FeatureVector features =
       metrics::AppFeaturesFromFiles(files, [&](const metrics::SourceFile& file) {
         std::optional<uint64_t> key;
+        bool deep_candidate = false;
         if (reuse) {
           key = Fnv1a64(file.text, MixU64(Fnv1a64(file.path, kFileRowSalt),
                                           static_cast<uint64_t>(file.language)));
+          deep_candidate =
+              deep && file.language == metrics::Language::kMiniC &&
+              static_cast<int>(deep_parsed.size()) < options_.deep_analysis_max_files;
         }
-        return ReuseOrCompute(
+        std::shared_ptr<const ParsedFile> parsed;
+        metrics::FeatureVector row = ReuseOrCompute(
             file_cache_, key, file_rows_computed_, file_rows_reused_,
-            [&] { return metrics::ExtractFileFeatures(file); },
+            [&] {
+              if (!deep_candidate) {
+                return metrics::ExtractFileFeatures(file);
+              }
+              std::optional<metrics::FeatureVector> pass_row;
+              parsed = ast_cache_.Get(file, &pass_row);
+              // An AST-cache hit ran no pass, so the row is computed apart.
+              return pass_row.has_value() ? std::move(*pass_row)
+                                          : metrics::ExtractFileFeatures(file);
+            },
             [](const metrics::FeatureVector&) { return true; });
+        if (deep_candidate) {
+          deep_parsed.push_back(parsed != nullptr ? std::move(parsed) : ast_cache_.Get(file));
+        }
+        return row;
       });
-  if (!options_.with_dataflow && !options_.with_symexec && !options_.with_dynamic) {
+  if (!deep) {
     if (options_.cache_features) {
       cache_.Insert(cache_key, features);
     }
@@ -413,11 +437,14 @@ metrics::FeatureVector Testbed::ExtractFeatures(
         case StageKind::kParse: {
           auto res = GuardStage<std::shared_ptr<const lang::TranslationUnit>>(
               stage, features,
-              [&](int) -> support::Result<std::shared_ptr<const lang::TranslationUnit>> {
+              [&](int attempt) -> support::Result<std::shared_ptr<const lang::TranslationUnit>> {
                 if (!reuse) {
                   return Share(lang::Parse(file.text));
                 }
-                parsed = ast_cache_.Get(file);
+                // The first attempt takes the entry read with the file row;
+                // a retry reads the cache again.
+                parsed = attempt == 0 ? deep_parsed[static_cast<size_t>(attempt_index)]
+                                      : ast_cache_.Get(file);
                 if (parsed->unit != nullptr) {
                   return parsed->unit;
                 }

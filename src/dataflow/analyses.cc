@@ -771,8 +771,10 @@ metrics::FeatureVector DataflowFeatures(const lang::IrModule& module,
 metrics::FeatureVector DataflowFeaturesFromRows(const lang::IrModule& module,
                                                 support::Deadline* deadline,
                                                 const FunctionRowFn& row_of) {
-  support::FaultInjector::Global().MaybeFail(support::FaultSite::kDataflow,
-                                             lang::ModuleFingerprint(module));
+  const auto& faults = support::FaultInjector::Global();
+  if (faults.enabled()) {
+    faults.MaybeFail(support::FaultSite::kDataflow, lang::ModuleFingerprint(module));
+  }
   metrics::FeatureVector fv;
   double mean_reaching_sum = 0.0;
   int max_live = 0;

@@ -1156,8 +1156,10 @@ metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
 
 metrics::FeatureVector IntervalFeaturesFromRows(const lang::IrModule& module,
                                                 const FunctionRowFn& row_of) {
-  support::FaultInjector::Global().MaybeFail(support::FaultSite::kIntervals,
-                                             lang::ModuleFingerprint(module));
+  const auto& faults = support::FaultInjector::Global();
+  if (faults.enabled()) {
+    faults.MaybeFail(support::FaultSite::kIntervals, lang::ModuleFingerprint(module));
+  }
   metrics::FeatureVector fv;
   long long accesses = 0;
   long long proven = 0;

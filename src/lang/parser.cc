@@ -13,7 +13,8 @@ using support::Error;
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  // `tokens` must end in a kEof token, as Lex's output does.
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   support::Result<TranslationUnit> Run() {
     TranslationUnit unit;
@@ -725,26 +726,43 @@ class Parser {
     return expr;
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   std::string error_;
 };
 
+// Robustness injection site: keyed by the source digest, so a configured
+// parse-fault rate hits the same files at any thread count. The digest is
+// taken only while some fault site is armed.
+bool ParseFaultFires(std::string_view source) {
+  const auto& faults = support::FaultInjector::Global();
+  return faults.enabled() &&
+         faults.ShouldFail(support::FaultSite::kParse, support::FaultKey(source));
+}
+
+support::Error InjectedParseFault() {
+  return support::Error(support::Error::Code::kInternal, "injected fault: parse");
+}
+
 }  // namespace
 
 support::Result<TranslationUnit> Parse(std::string_view source) {
-  // Robustness injection site: keyed by the source digest, so a configured
-  // parse-fault rate hits the same files at any thread count.
-  const auto& faults = support::FaultInjector::Global();
-  if (faults.ShouldFail(support::FaultSite::kParse, support::FaultKey(source))) {
-    return support::Error(support::Error::Code::kInternal,
-                          "injected fault: parse");
+  if (ParseFaultFires(source)) {
+    return InjectedParseFault();
   }
-  auto lexed = Lex(source);
+  const auto lexed = Lex(source);
   if (!lexed.ok()) {
     return lexed.error();
   }
-  return Parser(std::move(lexed.value().tokens)).Run();
+  return Parser(lexed.value().tokens).Run();
+}
+
+support::Result<TranslationUnit> ParseTokens(std::string_view source,
+                                             const std::vector<Token>& tokens) {
+  if (ParseFaultFires(source)) {
+    return InjectedParseFault();
+  }
+  return Parser(tokens).Run();
 }
 
 }  // namespace lang

@@ -22,14 +22,22 @@
 #define SRC_LANG_PARSER_H_
 
 #include <string_view>
+#include <vector>
 
 #include "src/lang/ast.h"
+#include "src/lang/token.h"
 #include "src/support/result.h"
 
 namespace lang {
 
 // Lexes and parses a full translation unit.
 support::Result<TranslationUnit> Parse(std::string_view source);
+
+// Parses `tokens`, the successful Lex(source) of `source`, without lexing
+// again; read by reference, never copied. Same result as Parse(source) for
+// a source that lexes: the parse fault site is still keyed by `source`.
+support::Result<TranslationUnit> ParseTokens(std::string_view source,
+                                             const std::vector<Token>& tokens);
 
 }  // namespace lang
 

@@ -1,7 +1,5 @@
 #include "src/lang/token.h"
 
-#include <unordered_map>
-
 namespace lang {
 
 const char* TokenKindName(TokenKind kind) {
@@ -195,19 +193,52 @@ bool IsKeywordToken(TokenKind kind) {
   }
 }
 
+// A switch on the length, then one comparison per candidate keyword.
 TokenKind ClassifyIdentifier(std::string_view text) {
-  static const std::unordered_map<std::string_view, TokenKind> kKeywords = {
-      {"int", TokenKind::kKwInt},         {"char", TokenKind::kKwChar},
-      {"bool", TokenKind::kKwBool},       {"void", TokenKind::kKwVoid},
-      {"if", TokenKind::kKwIf},           {"else", TokenKind::kKwElse},
-      {"while", TokenKind::kKwWhile},     {"for", TokenKind::kKwFor},
-      {"return", TokenKind::kKwReturn},   {"break", TokenKind::kKwBreak},
-      {"continue", TokenKind::kKwContinue}, {"switch", TokenKind::kKwSwitch},
-      {"case", TokenKind::kKwCase},       {"default", TokenKind::kKwDefault},
-      {"true", TokenKind::kKwTrue},       {"false", TokenKind::kKwFalse},
+  const auto is = [&text](std::string_view keyword, TokenKind kind) {
+    return text == keyword ? kind : TokenKind::kIdentifier;
   };
-  const auto it = kKeywords.find(text);
-  return it == kKeywords.end() ? TokenKind::kIdentifier : it->second;
+  switch (text.size()) {
+    case 2:
+      return is("if", TokenKind::kKwIf);
+    case 3:
+      return text[0] == 'i' ? is("int", TokenKind::kKwInt) : is("for", TokenKind::kKwFor);
+    case 4:
+      switch (text[0]) {
+        case 'c':
+          return text[1] == 'h' ? is("char", TokenKind::kKwChar) : is("case", TokenKind::kKwCase);
+        case 'b':
+          return is("bool", TokenKind::kKwBool);
+        case 'v':
+          return is("void", TokenKind::kKwVoid);
+        case 'e':
+          return is("else", TokenKind::kKwElse);
+        case 't':
+          return is("true", TokenKind::kKwTrue);
+        default:
+          return TokenKind::kIdentifier;
+      }
+    case 5:
+      switch (text[0]) {
+        case 'w':
+          return is("while", TokenKind::kKwWhile);
+        case 'b':
+          return is("break", TokenKind::kKwBreak);
+        case 'f':
+          return is("false", TokenKind::kKwFalse);
+        default:
+          return TokenKind::kIdentifier;
+      }
+    case 6:
+      return text[0] == 'r' ? is("return", TokenKind::kKwReturn)
+                            : is("switch", TokenKind::kKwSwitch);
+    case 7:
+      return is("default", TokenKind::kKwDefault);
+    case 8:
+      return is("continue", TokenKind::kKwContinue);
+    default:
+      return TokenKind::kIdentifier;
+  }
 }
 
 }  // namespace lang

@@ -4,8 +4,6 @@
 #include <array>
 #include <map>
 
-#include "src/lang/lexer.h"
-#include "src/lang/parser.h"
 #include "src/metrics/callgraph.h"
 #include "src/metrics/complexity.h"
 #include "src/metrics/smells.h"
@@ -266,64 +264,71 @@ std::vector<FunctionFeatures> ExtractFunctionFeatures(
   return out;
 }
 
-FeatureVector ExtractFileFeatures(const SourceFile& file) {
+namespace {
+
+// The features every file gets: line classes and the language tally.
+FeatureVector TextFeatures(const SourceFile& file) {
   FeatureVector fv;
   AddLineFeatures(fv, CountLines(file.text, file.language));
   fv.Add(std::string("lang.") + support::ToLower(LanguageName(file.language)) + ".files", 1.0);
+  return fv;
+}
 
+}  // namespace
+
+FeatureVector ExtractFileFeatures(const SourceFile& file) {
   if (file.language != Language::kMiniC) {
+    FeatureVector fv = TextFeatures(file);
     fv.Set("shin.functions", static_cast<double>(HeuristicFunctionCount(file.text,
                                                                         file.language)));
     return fv;
   }
+  return FileFeaturesFromFrontEnd(file, lang::RunFrontEnd(file.text));
+}
 
-  auto lexed = lang::Lex(file.text);
-  if (!lexed.ok()) {
+FeatureVector FileFeaturesFromFrontEnd(const SourceFile& file, const lang::FrontEnd& front) {
+  FeatureVector fv = TextFeatures(file);
+  if (!front.lexed.has_value()) {
     fv.Set("parse.failed", 1.0);
     return fv;
   }
-  const auto halstead = ComputeHalstead(lexed.value().tokens);
+  const auto halstead = ComputeHalstead(front.lexed->tokens);
   fv.Set("halstead.vocabulary", halstead.vocabulary);
   fv.Set("halstead.length", halstead.length);
   fv.Set("halstead.volume", halstead.volume);
   fv.Set("halstead.difficulty", halstead.difficulty);
   fv.Set("halstead.effort", halstead.effort);
   fv.Set("halstead.estimated_bugs", halstead.estimated_bugs);
-
-  auto unit = lang::Parse(file.text);
-  if (!unit.ok()) {
+  if (front.module == nullptr) {  // Failed to parse or to lower.
     fv.Set("parse.failed", 1.0);
     return fv;
   }
-  auto module = lang::LowerToIr(unit.value());
-  if (!module.ok()) {
-    fv.Set("parse.failed", 1.0);
-    return fv;
-  }
+  const lang::TranslationUnit& unit = *front.unit;
+  const lang::IrModule& module = *front.module;
 
-  fv.MergeSum(ShinFeatures(unit.value(), module.value()));
+  fv.MergeSum(ShinFeatures(unit, module));
 
   // Cyclomatic complexity: total plus per-function max/mean.
   long long total_mccabe = 0;
   int max_mccabe = 0;
-  for (const auto& fn : module.value().functions) {
+  for (const auto& fn : module.functions) {
     const int m = CyclomaticComplexity(fn);
     total_mccabe += m;
     max_mccabe = std::max(max_mccabe, m);
   }
   fv.Set("mccabe.total", static_cast<double>(total_mccabe));
   fv.Set("mccabe.max", static_cast<double>(max_mccabe));
-  if (!module.value().functions.empty()) {
+  if (!module.functions.empty()) {
     fv.Set("mccabe.mean", static_cast<double>(total_mccabe) /
-                              static_cast<double>(module.value().functions.size()));
+                              static_cast<double>(module.functions.size()));
   }
   int max_nesting = 0;
-  for (const auto& fn : unit.value().functions) {
+  for (const auto& fn : unit.functions) {
     max_nesting = std::max(max_nesting, MaxNestingDepth(fn));
   }
   fv.Set("nesting.max", static_cast<double>(max_nesting));
 
-  const auto smells = DetectSmells(unit.value());
+  const auto smells = DetectSmells(unit);
   fv.Set("smell.long_methods", static_cast<double>(smells.long_methods));
   fv.Set("smell.long_param_lists", static_cast<double>(smells.long_param_lists));
   fv.Set("smell.deeply_nested", static_cast<double>(smells.deeply_nested));
@@ -331,17 +336,17 @@ FeatureVector ExtractFileFeatures(const SourceFile& file) {
   fv.Set("smell.magic_numbers", static_cast<double>(smells.magic_numbers));
   fv.Set("smell.total", static_cast<double>(smells.Total()));
 
-  const auto signals = FindBugSignals(module.value());
+  const auto signals = FindBugSignals(module);
   fv.Set("lint.total", static_cast<double>(signals.size()));
   for (const auto& signal : signals) {
     fv.Add(std::string("lint.") + BugSignalKindName(signal.kind), 1.0);
   }
 
-  const CallGraph graph(module.value());
+  const CallGraph graph(module);
   long long fan_out_sum = 0;
   int fan_out_max = 0;
   long long recursive = 0;
-  for (const auto& fn : module.value().functions) {
+  for (const auto& fn : module.functions) {
     const int fo = graph.FanOut(fn.name);
     fan_out_sum += fo;
     fan_out_max = std::max(fan_out_max, fo);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/lang/ast.h"
+#include "src/lang/frontend.h"
 #include "src/lang/ir.h"
 #include "src/metrics/cloc.h"
 #include "src/metrics/feature_vector.h"
@@ -31,6 +32,11 @@ struct SourceFile {
 // Extracts features for a single file. Never fails: unparseable MiniC
 // degrades to text-level features plus "parse.failed"=1.
 FeatureVector ExtractFileFeatures(const SourceFile& file);
+
+// ExtractFileFeatures of a MiniC `file` whose front end already ran:
+// `front` must be lang::RunFrontEnd(file.text). Lets a caller that keeps the
+// AST and IR derive the file's row from the same pass.
+FeatureVector FileFeaturesFromFrontEnd(const SourceFile& file, const lang::FrontEnd& front);
 
 // Extracts and aggregates features across an application's files, adding
 // app-level features (file count, language mix, call-graph shape, mean and

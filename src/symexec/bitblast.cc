@@ -173,17 +173,24 @@ int64_t BitBlaster::ModelValueOf(int var_id) {
   return pool_.SignExtend(value);
 }
 
-std::vector<Var> BitBlaster::EncodingCone(ExprRef ref) const {
+std::vector<Var> BitBlaster::EncodingCone(ExprRef ref) {
+  if (cone_stamp_.size() < pool_.size()) {
+    cone_stamp_.resize(pool_.size(), 0);
+  }
+  if (++cone_epoch_ == 0) {  // Wrapped: stale stamps could alias the new epoch.
+    std::fill(cone_stamp_.begin(), cone_stamp_.end(), 0);
+    cone_epoch_ = 1;
+  }
   std::vector<Var> cone;
-  std::vector<bool> visited(pool_.size(), false);
-  std::vector<ExprRef> stack = {ref};
+  std::vector<ExprRef>& stack = cone_stack_;
+  stack.assign(1, ref);
   while (!stack.empty()) {
     const ExprRef r = stack.back();
     stack.pop_back();
-    if (visited[static_cast<size_t>(r)]) {
+    if (cone_stamp_[static_cast<size_t>(r)] == cone_epoch_) {
       continue;
     }
-    visited[static_cast<size_t>(r)] = true;
+    cone_stamp_[static_cast<size_t>(r)] = cone_epoch_;
     if (static_cast<size_t>(r) < cache_.size()) {
       for (const Lit lit : cache_[static_cast<size_t>(r)]) {
         cone.push_back(LitVar(lit));

@@ -53,8 +53,9 @@ class BitBlaster {
   // expression DAG (shared subterms included once). `ref` must already be
   // encoded. Sorted and deduplicated — the decision set the incremental
   // executor hands SatSolver::Solve so each query only searches over its own
-  // constraints' cone.
-  std::vector<Var> EncodingCone(ExprRef ref) const;
+  // constraints' cone. The visited set is epoch-stamped scratch, so a call
+  // costs the size of `ref`'s DAG, not of the whole pool.
+  std::vector<Var> EncodingCone(ExprRef ref);
 
  private:
   Lit TrueLit();
@@ -88,6 +89,10 @@ class BitBlaster {
   // cache entry. Indexed like cache_.
   std::vector<std::pair<Var, Var>> encode_range_;
   std::vector<std::vector<Var>> var_bits_;  // Indexed by var_id; empty = none.
+  // EncodingCone's epoch-stamped visited set (indexed by ExprRef) and stack.
+  std::vector<uint32_t> cone_stamp_;
+  uint32_t cone_epoch_ = 0;
+  std::vector<ExprRef> cone_stack_;
   Lit true_lit_ = -1;
 };
 

@@ -107,8 +107,11 @@ class Explorer {
         inc_solver_(AcquireSolver(options, owned_solver_, leased_session_)),
         inc_blaster_(pool_, inc_solver_),
         deadline_(options.watchdog_steps),
-        fault_key_(support::FaultKeyMix(lang::ModuleFingerprint(module),
-                                       options.rng_seed)) {
+        // Read only by armed solver faults, so it is not computed otherwise.
+        fault_key_(support::FaultInjector::Global().enabled()
+                       ? support::FaultKeyMix(lang::ModuleFingerprint(module),
+                                              options.rng_seed)
+                       : 0) {
     // Solver-site fault injection is keyed by the deterministic query index;
     // pruning changes which queries exist, which would shift every verdict.
     // When the solver site is armed the robustness matrix must see the exact

@@ -154,7 +154,7 @@ TEST(FeatureStoreStrings, DeduplicatesRepeatedNames) {
 TEST(FeatureStoreStrings, RoundTripsEmptyUtf8AndLongNames) {
   const std::string path = TempPath("names.clfs");
   const std::string empty;
-  const std::string utf8 = "caf\xC3\xA9/\xE6\xA0\xB8::\xF0\x9F\x94\x92check";
+  const std::string utf8 = "caf\xC3\xA9/\xE6\xA0\xB8::\xF0\x9F\x94\x92" "check";
   const std::string long_name(4096, 'n');
   auto writer = ml::FeatureStoreWriter::Create(path, {"x"}, {});
   ASSERT_TRUE(writer.ok());
